@@ -482,8 +482,8 @@ fn bench_end_to_end(c: &mut Criterion, cfg: &Config) {
         b.iter(|| std::hint::black_box(SrJoin::default().run(&dep, &spec).unwrap().total_bytes()))
     });
 
-    // The same join over the event-loop carrier: every request now rides
-    // the shared reactor thread instead of a per-server thread pair. The
+    // The same join over the shared event loop: every request now rides
+    // one reactor thread instead of a reactor per server. The
     // byte totals must agree — the carrier is unobservable in the
     // protocol — and the ns ratio says what the multiplexing costs.
     let (r2, s2) = {
@@ -557,9 +557,9 @@ fn speedups(ms: &[Measurement]) -> Vec<(String, String, String, f64)> {
             "codec/codec_v2_decode_1k_objects",
         ),
         ("parallel_sweep_w4", "sweep/serial", "sweep/parallel_w4"),
-        // ~1.0 expected: the reactor multiplexes instead of dedicating a
-        // thread per server; per-request overhead should stay in the
-        // channel-hop noise.
+        // ~1.0 expected: one shared reactor multiplexes instead of
+        // dedicating a reactor thread per server; per-request overhead
+        // should stay in the channel-hop noise.
         (
             "threaded_vs_event_loop_e2e",
             "e2e/srjoin_event_loop",

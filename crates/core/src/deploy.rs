@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use asj_geom::{Rect, SpatialObject};
+use asj_net::transport::InProcExchange;
 use asj_net::{
-    CacheLayer, ChannelServer, ClientCache, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
+    CacheLayer, ClientCache, EventLoop, FaultLayer, FaultPlan, Link, NetConfig, QueryHandler,
     RawExchange, Request, Response, ShardEndpoint, ShardMeta, ShardRouter, Update,
 };
 use asj_server::{
@@ -26,63 +27,61 @@ use crate::Side;
 /// data size for the synthetic datasets").
 pub const DEFAULT_BUFFER: usize = 800;
 
-/// How servers are carried: in the caller's process, one thread per
-/// server, or multiplexed onto one shared reactor thread (the
-/// many-device carrier — see `asj_net::event_loop`).
+/// How servers are carried: in the caller's process, or on event-loop
+/// reactors — one per server (the paper's independent servers), or one
+/// shared by every server (the many-device carrier — see
+/// `asj_net::event_loop`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum CarrierKind {
     InProc,
-    Threaded,
-    EventLoop,
+    Reactor { shared: bool },
 }
 
-/// One server process: in the caller's process, behind its own thread,
-/// or registered as an endpoint on the deployment's shared reactor.
+/// One server process: in the caller's process, or an endpoint on a
+/// reactor — its own, which it shuts down when dropped, or the
+/// deployment's shared one.
 enum Endpoint {
     InProc(Arc<dyn QueryHandler>),
-    Channel {
-        handle: asj_net::ServerHandle,
-        _server: ChannelServer,
+    Event {
+        endpoint: asj_net::EventEndpoint,
+        _own: Option<EventLoop>,
     },
-    Event(asj_net::EventEndpoint),
 }
 
 impl Endpoint {
     fn spawn<H: QueryHandler + 'static>(
         service: Arc<H>,
         kind: CarrierKind,
-        reactor: Option<&Arc<asj_net::EventLoop>>,
+        shared: Option<&Arc<EventLoop>>,
         name: &str,
     ) -> Endpoint {
-        match kind {
-            CarrierKind::InProc => Endpoint::InProc(service),
-            CarrierKind::Threaded => {
-                let (server, handle) = ChannelServer::spawn(service, name);
-                Endpoint::Channel {
-                    handle,
-                    _server: server,
+        match (kind, shared) {
+            (CarrierKind::InProc, _) => Endpoint::InProc(service),
+            (CarrierKind::Reactor { shared: true }, Some(reactor)) => Endpoint::Event {
+                endpoint: reactor.serve(service),
+                _own: None,
+            },
+            (CarrierKind::Reactor { .. }, _) => {
+                let reactor = EventLoop::spawn(name);
+                Endpoint::Event {
+                    endpoint: reactor.serve(service),
+                    _own: Some(reactor),
                 }
             }
-            CarrierKind::EventLoop => Endpoint::Event(
-                reactor
-                    .expect("event-loop deployments carry a reactor")
-                    .serve(service),
-            ),
         }
     }
 
     fn raw(&self) -> Box<dyn RawExchange> {
         match self {
-            Endpoint::InProc(h) => Box::new(InProcDyn(Arc::clone(h))),
-            Endpoint::Channel { handle, .. } => Box::new(handle.connect()),
-            Endpoint::Event(endpoint) => Box::new(endpoint.connect()),
+            Endpoint::InProc(h) => Box::new(InProcExchange::new(Arc::clone(h))),
+            Endpoint::Event { endpoint, .. } => Box::new(endpoint.connect()),
         }
     }
 
     fn event_stats(&self) -> Option<Arc<asj_net::EndpointStats>> {
         match self {
-            Endpoint::Event(endpoint) => Some(Arc::clone(endpoint.stats())),
-            _ => None,
+            Endpoint::Event { endpoint, .. } => Some(Arc::clone(endpoint.stats())),
+            Endpoint::InProc(_) => None,
         }
     }
 }
@@ -179,12 +178,11 @@ impl Carrier {
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
     /// update path) are visible to every other link's router.
-    /// When `net.wire_v2` is on, whichever layer owns the *physical*
-    /// edge negotiates protocol v2 over it before the link is handed
-    /// out: a bare link negotiates with its server, a cache layer with
-    /// the server behind it, a shard router per shard. With the flag
-    /// off (the default) no handshake frame is ever sent and every link
-    /// speaks v1 byte-identically.
+    /// When `net.wire_v2` is on, every *physical* edge negotiates
+    /// protocol v2 before the link is handed out: a bare or cached link
+    /// with its server, a shard router per shard. With the flag off (the
+    /// default) no handshake frame is ever sent and every link speaks v1
+    /// byte-identically.
     fn link(
         &self,
         net: &NetConfig,
@@ -223,9 +221,8 @@ impl Carrier {
                         ShardEndpoint::with_replicas(Arc::clone(meta), edges)
                     })
                     .collect();
-                // Retries live on the router (the layer that owns the
-                // physical edges): a cache stacked over a fleet must not
-                // re-deliver, or every scatter would double-count.
+                // Retries live on the shard edges, the only place bytes
+                // cross: a cache stacked over the fleet never re-delivers.
                 let mut router = ShardRouter::new(shards, net.packet)
                     .with_retry(net.retry)
                     .with_breakers(net.breaker)
@@ -272,45 +269,6 @@ impl Carrier {
     }
 }
 
-/// Adapter: `InProcExchange` is generic; deployments hold `dyn` handlers.
-struct InProcDyn(Arc<dyn QueryHandler>);
-
-impl asj_net::RawExchange for InProcDyn {
-    fn exchange(&self, request: bytes::Bytes) -> bytes::Bytes {
-        // Version negotiation is link control: answered at the transport
-        // adapter, never surfaced to the query handler.
-        if let Some(accept) = asj_net::codec::try_answer_hello(&request) {
-            return accept;
-        }
-        // Retried update batches arrive wrapped in a dedup envelope; peel
-        // it and route through the tagged at-most-once path so a
-        // duplicated delivery can never double-bump a generation. The
-        // same contract every server-side transport adapter honours.
-        if let Some((tag, body)) = asj_net::codec::peel_dedup(&request) {
-            let mut buf = bytes::BytesMut::new();
-            match asj_net::codec::decode_request_versioned(body) {
-                Ok((Request::ApplyUpdates(updates), wire)) => {
-                    let resp = self.0.handle_tagged_updates(tag, updates);
-                    asj_net::codec::encode_response_versioned(&resp, wire, None, &mut buf);
-                    return buf.freeze();
-                }
-                _ => return asj_net::codec::malformed_frame(),
-            }
-        }
-        let (req, wire) = match asj_net::codec::decode_request_versioned(request) {
-            Ok(pair) => pair,
-            // Same contract as every transport adapter: a garbled frame
-            // is answered with the typed error, never panicked on.
-            Err(_) => return asj_net::codec::malformed_frame(),
-        };
-        // Zero-copy serving: the handler streams its answer straight into
-        // the reply buffer (see `SpatialService::handle_into`).
-        let mut buf = bytes::BytesMut::new();
-        self.0.handle_into(req, wire, &mut buf);
-        buf.freeze()
-    }
-}
-
 /// A ready-to-join deployment: server R, server S, the network
 /// configuration, the device's buffer size and the global data space.
 ///
@@ -345,7 +303,7 @@ pub struct Deployment {
     /// [`DeploymentBuilder::event_loop`]: every endpoint of both sides is
     /// served by this one thread, and it must outlive every link handed
     /// out by [`Deployment::connect`]. `None` on the other carriers.
-    reactor: Option<Arc<asj_net::EventLoop>>,
+    reactor: Option<Arc<EventLoop>>,
 }
 
 impl Deployment {
@@ -355,8 +313,8 @@ impl Deployment {
         DeploymentBuilder::new(r, s).with_net(net).build()
     }
 
-    /// Deployment with each server on its own thread behind a channel —
-    /// the distributed topology of the paper's prototype.
+    /// Deployment with each server on its own reactor thread — the
+    /// distributed topology of the paper's prototype.
     pub fn threaded(r: Vec<SpatialObject>, s: Vec<SpatialObject>, net: NetConfig) -> Self {
         DeploymentBuilder::new(r, s)
             .with_net(net)
@@ -493,8 +451,8 @@ impl Deployment {
     }
 
     /// Per-shard reactor endpoint stats (queue-depth high-water mark,
-    /// served/malformed counters) for one side, in shard order. Empty
-    /// unless the deployment rides the event-loop carrier.
+    /// served/malformed counters) for one side, in shard order. Empty on
+    /// in-process deployments.
     pub fn event_stats(&self, side: Side) -> Vec<Arc<asj_net::EndpointStats>> {
         match side {
             Side::R => self.r.event_stats(),
@@ -562,9 +520,15 @@ impl DeploymentBuilder {
         self
     }
 
-    /// Runs each server on its own thread.
+    /// Runs each server on its own thread: one event-loop reactor per
+    /// server (every shard replica included), so servers work
+    /// concurrently and a scatter round overlaps its shard exchanges.
+    /// Dropping the deployment stops every reactor after the requests
+    /// already queued; links that outlive it degrade to
+    /// [`Response::Unavailable`]. Replies are byte-identical to the other
+    /// carriers.
     pub fn threaded(mut self) -> Self {
-        self.carrier = CarrierKind::Threaded;
+        self.carrier = CarrierKind::Reactor { shared: false };
         self
     }
 
@@ -578,7 +542,7 @@ impl DeploymentBuilder {
     ///
     /// [`threaded`]: DeploymentBuilder::threaded
     pub fn event_loop(mut self) -> Self {
-        self.carrier = CarrierKind::EventLoop;
+        self.carrier = CarrierKind::Reactor { shared: true };
         self
     }
 
@@ -702,8 +666,8 @@ impl DeploymentBuilder {
         // One reactor thread carries every endpoint of an event-loop
         // deployment; it lives on the `Deployment` so links can never
         // outlive it accidentally.
-        let reactor = (self.carrier == CarrierKind::EventLoop)
-            .then(|| Arc::new(asj_net::EventLoop::spawn("deploy")));
+        let reactor = (self.carrier == CarrierKind::Reactor { shared: true })
+            .then(|| Arc::new(EventLoop::spawn("deploy")));
         // Frozen servers answer straight from an immutable R-tree; live
         // servers wrap the same store in a `VersionedStore` whose rebuild
         // closure re-packs the R-tree at the same fanout, so generation 0

@@ -1,5 +1,4 @@
-//! Client-side semantic statistics/window cache on the [`RawExchange`]
-//! seam.
+//! Client-side semantic statistics/window cache.
 //!
 //! The paper's premise is that wireless transfer dominates join cost —
 //! yet the device keeps re-paying for the same bytes: quadrant recursion
@@ -15,11 +14,10 @@
 //! frozen (generation-0) server the cache behaves exactly as before:
 //! every hit simply deletes a round trip and its wire bytes.
 //!
-//! [`CacheLayer`] uses the same composition trick as
-//! [`ShardRouter`](crate::router::ShardRouter): it implements
-//! [`RawExchange`], so it stacks under an ordinary [`Link`] — in front of
-//! a flat server *or* a whole shard fleet — and every join algorithm
-//! benefits unchanged. Two tiers:
+//! [`CacheLayer`] stacks under an ordinary [`Link`](crate::Link) — in front of a flat
+//! server *or* a whole [`ShardRouter`] fleet — answering [`Request`]
+//! values like the layer below it does, so every join algorithm benefits
+//! unchanged. Two tiers:
 //!
 //! * **Exact statistics tier** — `COUNT` answers keyed by the bit-exact
 //!   query rectangle (a total-order `f64::to_bits` key, so `-0.0 ≠ 0.0`
@@ -40,9 +38,11 @@
 //! own predicate* (`intersects` for `WINDOW`/`COUNT`, `within_distance`
 //! for ε-RANGE — whose reach `q.expand(eps)` bounds the qualifying MBRs)
 //! therefore reproduces the server's answer exactly, as a set. All checks
-//! run on the *decoded* request, i.e. after the codec's f32 rounding —
-//! the very rectangle the server would evaluate — so float rounding can
-//! never make a local answer diverge from a remote one.
+//! run on the request's *wire form* ([`crate::codec::wire_form`]: every
+//! rectangle and ε snapped through `f32` exactly as the server decodes
+//! them, applied once where a request enters the stack) — the very
+//! rectangle the server would evaluate — so float rounding can never make
+//! a local answer diverge from a remote one.
 //!
 //! # Eviction invariant
 //!
@@ -58,31 +58,29 @@
 //!
 //! # Accounting
 //!
-//! The layer is *premetered* in the sense of [`Link`]: the fronting link
-//! records nothing, and the layer meters exactly the physical exchanges
-//! that pass through to the inner carrier (or lets an inner
-//! [`ShardRouter`](crate::router::ShardRouter) meter its own scatter
-//! traffic). Locally answered requests touch no meter — they are not
-//! messages — and are instead tallied in a per-link
-//! [`CacheTelemetry`](crate::meter::CacheTelemetry), with saved wire
-//! bytes estimated at the logical-request seam.
+//! The cache never touches bytes. Every request it cannot answer goes to
+//! the layer below — the server's physical edge, or a router's shard
+//! edges — and those edges charge exactly the exchanges that cross the
+//! wire; the fronting link exposes their meter. Locally answered
+//! requests touch no meter — they are not messages — and are instead
+//! tallied in a per-link [`CacheTelemetry`],
+//! with saved wire bytes estimated at the logical request's v1 framing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use asj_geom::{Rect, SpatialObject};
-use bytes::{Bytes, BytesMut};
 
 use crate::codec::{
-    decode_request, decode_response_gen, decode_response_gen_ctx, encode_request,
-    encode_request_versioned, encode_response, encode_response_into, peel_generation,
-    stamp_generation, QuantCtx, WireVersion, OBJECTS_HEADER_BYTES, OBJ_BYTES,
+    request_wire_bytes, response_wire_bytes, GEN_STAMP_BYTES, OBJECTS_HEADER_BYTES, OBJ_BYTES,
 };
+use crate::edge::Edge;
 use crate::meter::{CacheSnapshot, CacheTelemetry, LinkMeter};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response};
-use crate::transport::RawExchange;
+use crate::router::ShardRouter;
+use crate::transport::{RawExchange, Stack};
 
 /// Client-cache knob of a deployment's network configuration. Off by
 /// default: with `enabled = false` no [`CacheLayer`] is constructed at
@@ -427,474 +425,248 @@ impl CacheView {
     }
 }
 
-/// The caching carrier. See the module docs for tiers and invariants.
+/// The caching layer. See the module docs for tiers and invariants.
 pub struct CacheLayer {
-    inner: Box<dyn RawExchange>,
-    packet: PacketModel,
-    meter: Arc<LinkMeter>,
-    /// `true` when the inner carrier meters its own physical traffic (a
-    /// shard router): forwarded exchanges must not be re-recorded here.
-    inner_premetered: bool,
-    fleet: Option<Arc<crate::router::ShardTelemetry>>,
-    cache: Arc<ClientCache>,
-    telemetry: Arc<CacheTelemetry>,
-    /// Wire version of the inner physical link. Stays [`WireVersion::V1`]
-    /// unless [`CacheLayer::negotiate_v2`] ran (only meaningful when the
-    /// inner carrier is a direct server edge — a premetered inner router
-    /// negotiates its own shard links instead). The cache itself is
-    /// version-agnostic: it admits and serves *decoded* objects, so a
-    /// window downloaded over v2 answers later v1-framed lookups and
-    /// vice versa.
-    wire: WireVersion,
-    /// Retry policy for this layer's *own* physical edge. Off by
-    /// default; meaningful only when the inner carrier is a direct
-    /// server link — a premetered inner [`ShardRouter`] runs its own
-    /// per-shard recovery, and retrying above it would double-deliver.
-    retry: RetryPolicy,
-    /// At-most-once identity of this layer's retried update batches.
-    dedup_nonce: u64,
-    dedup_seq: AtomicU64,
+    /// A direct edge to one server, or a fleet router.
+    inner: Stack,
+    view: CacheView,
 }
 
 impl CacheLayer {
-    /// A cache in front of a plain (unmetered) carrier: this layer meters
-    /// every forwarded exchange into its own fresh link meter.
+    /// A cache in front of one server's carrier: the layer owns the
+    /// physical edge, metered into a fresh link meter.
     pub fn new(inner: Box<dyn RawExchange>, packet: PacketModel, cache: Arc<ClientCache>) -> Self {
-        CacheLayer {
-            inner,
-            packet,
-            meter: Arc::new(LinkMeter::new()),
-            inner_premetered: false,
-            fleet: None,
-            cache,
-            telemetry: Arc::new(CacheTelemetry::new()),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: crate::transport::next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
-        }
+        CacheLayer::over(Stack::Edge(Edge::direct(inner, packet)), cache)
     }
 
     /// A cache stacked over a whole shard fleet: forwarded requests
-    /// scatter as usual and the router keeps metering every physical
-    /// per-shard exchange; the fronting link adopts the router's
-    /// aggregate meter and fleet telemetry unchanged.
-    pub fn over_router(router: crate::router::ShardRouter, cache: Arc<ClientCache>) -> Self {
+    /// scatter as usual over the router's shard edges; the fronting link
+    /// adopts the router's aggregate meter and fleet telemetry unchanged.
+    pub fn over_router(router: ShardRouter, cache: Arc<ClientCache>) -> Self {
+        CacheLayer::over(Stack::Fleet(router), cache)
+    }
+
+    fn over(inner: Stack, cache: Arc<ClientCache>) -> Self {
         CacheLayer {
-            packet: router.packet(),
-            meter: Arc::clone(router.aggregate_meter()),
-            inner_premetered: true,
-            fleet: Some(Arc::clone(router.telemetry())),
-            inner: Box::new(router),
-            cache,
-            telemetry: Arc::new(CacheTelemetry::new()),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: crate::transport::next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
+            inner,
+            view: CacheView {
+                cache,
+                telemetry: Arc::new(CacheTelemetry::new()),
+            },
         }
     }
 
-    /// Enables retry/backoff on this layer's own physical edge. Leave
-    /// off (the default) when the inner carrier is a premetered fleet
-    /// router — the router recovers its own scatter slots.
+    /// Enables retry/backoff on the physical edges below (the server's,
+    /// or every shard edge of a fleet). Retries live only at edges, so
+    /// a cache never re-delivers on top of them.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        debug_assert!(
-            !(retry.enabled() && self.inner_premetered),
-            "retry above a fleet router double-delivers; configure the router instead"
-        );
-        self.retry = retry;
+        self.set_retry(retry);
         self
     }
 
-    /// Negotiates wire protocol v2 with the server behind this layer's
-    /// *own* physical edge (one `HELLO`/`ACCEPT` round trip, 4 unmetered
-    /// link-control bytes). Meaningful only for a cache over a direct
-    /// server carrier: a premetered inner (a [`ShardRouter`]) owns its
-    /// physical links and negotiates per shard itself. Only the
-    /// deployment layer calls this, and only when `NetConfig::wire_v2`
-    /// is on; a peer that never `ACCEPT`s leaves the link at v1.
+    pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
+        self.inner.set_retry(retry);
+    }
+
+    /// Negotiates wire protocol v2 on the physical edges below (one
+    /// `HELLO`/`ACCEPT` round trip per carrier, 4 unmetered link-control
+    /// bytes). Only the deployment layer calls this, and only when
+    /// `NetConfig::wire_v2` is on; a peer that never `ACCEPT`s leaves its
+    /// edge at v1. The cache itself is version-agnostic: it admits and
+    /// serves *decoded* objects, so a window downloaded over v2 answers
+    /// later lookups whatever their framing.
     pub fn negotiate_v2(&mut self) {
-        debug_assert!(
-            !self.inner_premetered,
-            "a premetered inner carrier negotiates its own physical links"
-        );
-        self.wire = crate::transport::negotiate_wire(self.inner.as_ref());
+        self.inner.negotiate();
     }
 
-    /// The meter the fronting [`Link`] should expose.
+    /// The meter the fronting [`Link`](crate::Link) should expose.
     pub fn meter(&self) -> &Arc<LinkMeter> {
-        &self.meter
+        self.inner.meter()
     }
 
-    /// Per-shard telemetry when the inner carrier is a fleet router.
+    /// Per-shard telemetry when the inner layer is a fleet router.
     pub fn fleet(&self) -> Option<&Arc<crate::router::ShardTelemetry>> {
-        self.fleet.as_ref()
+        self.inner.fleet()
     }
 
     /// The packet model forwarded exchanges are metered under.
     pub fn packet(&self) -> PacketModel {
-        self.packet
+        self.inner.packet()
     }
 
     /// This layer's cache view (telemetry + shared store).
-    pub fn view(&self) -> CacheView {
-        CacheView {
-            cache: Arc::clone(&self.cache),
-            telemetry: Arc::clone(&self.telemetry),
+    pub fn view(&self) -> &CacheView {
+        &self.view
+    }
+
+    /// Answers one request (in wire form): cacheable lookups from the
+    /// tiers when they can, everything else from the layer below.
+    pub(crate) fn call(&self, req: &Request) -> (Response, u64) {
+        match req {
+            Request::Count(w) => self.count(req, w),
+            Request::MultiCount(windows) => self.multi_count(req, windows),
+            Request::Window(w) => self.window(req, w),
+            Request::EpsRange { q, eps } => self.eps_range(req, q, *eps),
+            // Updates always ship (the cache never absorbs a write); the
+            // `Ack` carries the new serving generation, which `forward`
+            // notes *before* the next lookup so stale entries stop
+            // matching immediately.
+            _ => self.forward(req),
         }
     }
 
-    /// Ships `raw` to the inner carrier, metering it here unless the
-    /// inner carrier premeters its own traffic. Returns the raw reply,
-    /// its decoded form when metering already had to decode it — callers
-    /// that need the decoded reply anyway reuse it via
-    /// [`CacheLayer::decoded`], and callers that don't (ε-RANGE misses,
-    /// raw pass-through over a premetered router) never pay a decode —
-    /// and the serving generation the reply was stamped with (0 when
-    /// unstamped), which is also noted into the shared store so older
-    /// generations stop matching.
-    fn forward(&self, raw: Bytes, req: &Request) -> (Bytes, Option<Response>, u64) {
-        if self.inner_premetered {
-            let reply = self.inner.exchange(raw);
-            if crate::codec::is_unavailable(&reply) {
-                // The fleet below died: the fabricated frame propagates
-                // verbatim — nothing is metered, no generation noted.
-                return (reply, Some(Response::Unavailable), 0);
-            }
-            // Peek the stamp only — the reply is forwarded verbatim. An
-            // undecodable stamp degrades to "unstamped" and the fronting
-            // link surfaces the malformed payload itself.
-            let (generation, _) =
-                peel_generation(reply.clone()).unwrap_or((0, Bytes::from_static(&[])));
-            self.cache.note_generation(generation);
-            return (reply, None, generation);
-        }
-        // On a v2 inner link the request is re-framed compact; the reply
-        // comes back v2 and is handed upstream as-is (the fronting link
-        // decodes either version), so the meter below prices exactly the
-        // frames that crossed the physical edge.
-        let mut encoded = if self.wire == WireVersion::V2 {
-            encode_request_versioned(req, WireVersion::V2)
-        } else {
-            raw
-        };
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
-            // Same tag on every retry: duplicated delivery replays the
-            // server's recorded Ack instead of re-applying.
-            encoded = crate::codec::wrap_dedup(
-                crate::codec::DedupTag {
-                    nonce: self.dedup_nonce,
-                    seq: self.dedup_seq.fetch_add(1, Ordering::Relaxed),
-                },
-                &encoded,
-            );
-        }
-        let up_len = encoded.len() as u64;
-        let ctx = QuantCtx::for_request(req);
-        let attempts = if self.retry.enabled() {
-            self.retry.max_attempts
-        } else {
-            1
-        };
-        let mut outcome = (
-            crate::codec::unavailable_frame(),
-            Some(Response::Unavailable),
-            0,
+    /// Asks the layer below and notes the serving generation the answer
+    /// carries (an `Ack`'s own, or the reply's stamp) into the shared
+    /// store, so older generations stop matching.
+    fn forward(&self, req: &Request) -> (Response, u64) {
+        let (resp, generation) = self.inner.call(req);
+        self.view.cache.note_generation(match &resp {
+            Response::Ack { generation: acked } => *acked,
+            _ => generation,
+        });
+        (resp, generation)
+    }
+
+    /// A locally answered request at `generation`: tallies the wire
+    /// bytes (both directions, packetized) the round trip would have
+    /// cost, priced at the logical v1 framing, stamp included.
+    fn local(&self, req: &Request, resp: Response, generation: u64) -> (Response, u64) {
+        let packet = self.packet();
+        self.view.telemetry.record_saved(
+            packet.tb(request_wire_bytes(req)) + packet.tb(reply_bytes(&resp, generation)),
         );
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.meter.record_retry();
-                self.retry.sleep(attempt);
+        (resp, generation)
+    }
+
+    fn count(&self, req: &Request, w: &Rect) -> (Response, u64) {
+        let cache = &self.view.cache;
+        let generation = cache.generation();
+        if let Some(c) = cache.count(w, generation) {
+            self.view.telemetry.record_stats(1, 0);
+            return self.local(req, Response::Count(c), generation);
+        }
+        self.view.telemetry.record_stats(0, 1);
+        let (resp, generation) = self.forward(req);
+        if let Response::Count(c) = resp {
+            cache.observe_count(w, c, generation);
+        }
+        (resp, generation)
+    }
+
+    /// Records every count of a full-batch answer, when it has one per
+    /// window.
+    fn observe_counts(&self, windows: &[Rect], resp: &Response, generation: u64) {
+        if let Response::Counts(counts) = resp {
+            if counts.len() == windows.len() {
+                for (w, &c) in windows.iter().zip(counts) {
+                    self.view.cache.observe_count(w, c, generation);
+                }
             }
-            let reply = self.inner.exchange(encoded.clone());
-            if crate::codec::is_unavailable(&reply) {
-                // Dead server: meter neither direction — only completed
-                // exchanges count.
-                outcome = (reply, Some(Response::Unavailable), 0);
-                continue;
-            }
-            self.meter.record_request(req, up_len, &self.packet);
-            let (resp, generation) = decode_response_gen_ctx(reply.clone(), ctx.as_ref())
-                .unwrap_or((Response::Malformed, 0));
-            self.meter.record_response(
-                reply.len() as u64,
-                resp.object_count(),
-                &self.packet,
-                req.is_aggregate(),
-            );
-            if resp == Response::Malformed {
-                // A garbled reply crossed the wire (metered above) but
-                // must never key a cache entry or note a generation.
-                outcome = (reply, Some(Response::Malformed), 0);
-                continue;
-            }
-            self.cache.note_generation(generation);
-            return (reply, Some(resp), generation);
         }
-        if self.retry.enabled() {
-            self.meter.record_abandon();
-        }
-        outcome
     }
 
-    /// The decoded reply: reuses what metering decoded, or decodes now.
-    fn decoded(reply: &Bytes, prior: Option<Response>) -> Response {
-        prior.unwrap_or_else(|| {
-            decode_response_gen(reply.clone())
-                .map(|(resp, _)| resp)
-                .unwrap_or(Response::Malformed)
-        })
-    }
-
-    /// Pass-through for non-cacheable opcodes. A premetered inner
-    /// carrier gets the bytes verbatim with a stamp peek only (the
-    /// router decodes and meters on its own); otherwise the layer must
-    /// decode for the meter's query-mix and object counters, exactly as
-    /// an uncached [`Link`] would have.
-    fn forward_raw(&self, raw: Bytes) -> Bytes {
-        if self.inner_premetered {
-            let reply = self.inner.exchange(raw);
-            if crate::codec::is_unavailable(&reply) {
-                return reply;
-            }
-            let (generation, _) =
-                peel_generation(reply.clone()).unwrap_or((0, Bytes::from_static(&[])));
-            self.cache.note_generation(generation);
-            return reply;
-        }
-        let req = match decode_request(raw.clone()) {
-            Ok(req) => req,
-            // Same contract as every other shared serving path: garbage
-            // in, typed error out, layer keeps serving.
-            Err(_) => return crate::codec::malformed_frame(),
-        };
-        self.forward(raw, &req).0
-    }
-
-    /// A locally answered request: encode at `generation`, stamped
-    /// exactly as the server would have stamped it (generation 0 carries
-    /// no stamp — byte-identical to the frozen wire format).
-    fn local_reply(&self, resp: &Response, generation: u64) -> Bytes {
-        let mut buf = BytesMut::new();
-        stamp_generation(generation, &mut buf);
-        encode_response_into(resp, &mut buf);
-        buf.freeze()
-    }
-
-    /// Wire bytes (both directions, packetized) a fully local answer
-    /// avoided.
-    fn saved(&self, req_len: usize, resp_len: usize) -> u64 {
-        self.packet.tb(req_len as u64) + self.packet.tb(resp_len as u64)
-    }
-
-    fn handle_count(&self, raw: Bytes, w: Rect) -> Bytes {
-        let generation = self.cache.generation();
-        if let Some(c) = self.cache.count(&w, generation) {
-            self.telemetry.record_stats(1, 0);
-            let reply = self.local_reply(&Response::Count(c), generation);
-            self.telemetry
-                .record_saved(self.saved(raw.len(), reply.len()));
-            return reply;
-        }
-        self.telemetry.record_stats(0, 1);
-        let req = Request::Count(w);
-        let (reply, resp, generation) = self.forward(raw, &req);
-        if let Response::Count(c) = Self::decoded(&reply, resp) {
-            self.cache.observe_count(&w, c, generation);
-        }
-        reply
-    }
-
-    fn handle_multi_count(&self, raw: Bytes, windows: Vec<Rect>) -> Bytes {
-        let generation = self.cache.generation();
-        let answers: Vec<Option<u64>> = windows
-            .iter()
-            .map(|w| self.cache.count(w, generation))
-            .collect();
+    fn multi_count(&self, req: &Request, windows: &[Rect]) -> (Response, u64) {
+        let cache = &self.view.cache;
+        let generation = cache.generation();
+        let answers: Vec<Option<u64>> =
+            windows.iter().map(|w| cache.count(w, generation)).collect();
         let miss_idx: Vec<usize> = (0..windows.len())
             .filter(|&i| answers[i].is_none())
             .collect();
-        self.telemetry.record_stats(
+        self.view.telemetry.record_stats(
             (windows.len() - miss_idx.len()) as u64,
             miss_idx.len() as u64,
         );
         if miss_idx.is_empty() {
             // Every entry answered locally: the whole round trip vanishes.
             let counts = answers.into_iter().map(|c| c.expect("all hits")).collect();
-            let reply = self.local_reply(&Response::Counts(counts), generation);
-            self.telemetry
-                .record_saved(self.saved(raw.len(), reply.len()));
-            return reply;
+            return self.local(req, Response::Counts(counts), generation);
         }
         if miss_idx.len() == windows.len() {
-            // Full miss: forward the original bytes unchanged.
-            let req = Request::MultiCount(windows);
-            let (reply, resp, generation) = self.forward(raw, &req);
-            if let (Request::MultiCount(ws), Response::Counts(cs)) =
-                (&req, Self::decoded(&reply, resp))
-            {
-                if cs.len() == ws.len() {
-                    for (w, c) in ws.iter().zip(cs) {
-                        self.cache.observe_count(w, c, generation);
-                    }
-                }
-            }
-            return reply;
+            // Full miss: forward the batch unchanged.
+            let (resp, generation) = self.forward(req);
+            self.observe_counts(windows, &resp, generation);
+            return (resp, generation);
         }
         // Partial hit: ship only the misses, splice the answers back in
         // probe order.
         let sub = Request::MultiCount(miss_idx.iter().map(|&i| windows[i]).collect());
-        let sub_raw = encode_request(&sub);
-        let sub_len = sub_raw.len();
-        let (sub_reply, resp, fresh_generation) = self.forward(sub_raw, &sub);
+        let (sub_resp, fresh_generation) = self.forward(&sub);
         if fresh_generation != generation {
             // The servers advanced between our local answers and the
             // sub-batch reply: the splice would mix generations. Re-ask
             // the full batch at the new generation — correctness first;
             // this only costs bytes when an update races the query.
-            let req = Request::MultiCount(windows.clone());
-            let (reply, resp, generation) = self.forward(raw, &req);
-            if let Response::Counts(cs) = Self::decoded(&reply, resp) {
-                if cs.len() == windows.len() {
-                    for (w, c) in windows.iter().zip(cs) {
-                        self.cache.observe_count(w, c, generation);
-                    }
-                }
-            }
-            return reply;
+            let (resp, generation) = self.forward(req);
+            self.observe_counts(windows, &resp, generation);
+            return (resp, generation);
         }
-        let fresh = match Self::decoded(&sub_reply, resp) {
+        let fresh = match &sub_resp {
             Response::Counts(cs) if cs.len() == miss_idx.len() => cs,
-            Response::Refused => return encode_response(&Response::Refused),
             // A failed sub-exchange surfaces typed — the locally answered
             // entries are discarded rather than spliced against an error,
             // and nothing from this reply is admitted to the cache.
-            Response::Unavailable => return crate::codec::unavailable_frame(),
-            _ => return crate::codec::malformed_frame(),
+            Response::Refused | Response::Unavailable => return (sub_resp, 0),
+            _ => return (Response::Malformed, 0),
         };
         let mut counts: Vec<u64> = answers.into_iter().map(|c| c.unwrap_or(0)).collect();
-        for (&i, &c) in miss_idx.iter().zip(&fresh) {
+        for (&i, &c) in miss_idx.iter().zip(fresh) {
             counts[i] = c;
-            self.cache.observe_count(&windows[i], c, generation);
+            cache.observe_count(&windows[i], c, generation);
         }
-        let reply = self.local_reply(&Response::Counts(counts), generation);
-        // Saved: the framing/entries the sub-batch did not carry.
-        let saved_up = self.packet.tb(raw.len() as u64) - self.packet.tb(sub_len as u64);
-        let saved_down =
-            self.packet.tb(reply.len() as u64) - self.packet.tb(sub_reply.len() as u64);
-        self.telemetry.record_saved(saved_up + saved_down);
-        reply
+        let resp = Response::Counts(counts);
+        // Saved: the framing and entries the sub-batch did not carry.
+        let packet = self.packet();
+        let saved_up = packet.tb(request_wire_bytes(req)) - packet.tb(request_wire_bytes(&sub));
+        let saved_down = packet.tb(reply_bytes(&resp, generation))
+            - packet.tb(reply_bytes(&sub_resp, generation));
+        self.view.telemetry.record_saved(saved_up + saved_down);
+        (resp, generation)
     }
 
-    fn handle_window(&self, raw: Bytes, w: Rect) -> Bytes {
-        let generation = self.cache.generation();
-        if let Some(objects) = self.cache.window(&w, generation) {
-            self.telemetry.record_window(true);
-            let reply = self.local_reply(&Response::Objects(objects), generation);
-            self.telemetry
-                .record_saved(self.saved(raw.len(), reply.len()));
-            return reply;
+    fn window(&self, req: &Request, w: &Rect) -> (Response, u64) {
+        let cache = &self.view.cache;
+        let generation = cache.generation();
+        if let Some(objects) = cache.window(w, generation) {
+            self.view.telemetry.record_window(true);
+            return self.local(req, Response::Objects(objects), generation);
         }
-        self.telemetry.record_window(false);
-        let req = Request::Window(w);
-        let (reply, resp, generation) = self.forward(raw, &req);
-        if let Response::Objects(objects) = Self::decoded(&reply, resp) {
-            self.cache.admit_window(&w, &objects, generation);
+        self.view.telemetry.record_window(false);
+        let (resp, generation) = self.forward(req);
+        if let Response::Objects(objects) = &resp {
+            cache.admit_window(w, objects, generation);
         }
-        reply
+        (resp, generation)
     }
 
-    fn handle_eps_range(&self, raw: Bytes, q: Rect, eps: f64) -> Bytes {
-        let generation = self.cache.generation();
-        if let Some(objects) = self.cache.eps_range(&q, eps, generation) {
-            self.telemetry.record_probe(true);
-            let reply = self.local_reply(&Response::Objects(objects), generation);
-            self.telemetry
-                .record_saved(self.saved(raw.len(), reply.len()));
-            return reply;
+    fn eps_range(&self, req: &Request, q: &Rect, eps: f64) -> (Response, u64) {
+        let generation = self.view.cache.generation();
+        if let Some(objects) = self.view.cache.eps_range(q, eps, generation) {
+            self.view.telemetry.record_probe(true);
+            return self.local(req, Response::Objects(objects), generation);
         }
-        self.telemetry.record_probe(false);
-        self.forward(raw, &Request::EpsRange { q, eps }).0
+        self.view.telemetry.record_probe(false);
+        self.forward(req)
     }
 }
 
-impl RawExchange for CacheLayer {
-    fn exchange(&self, raw: Bytes) -> Bytes {
-        // Dispatch on the wire opcode so non-cacheable requests (bucket
-        // probes, avg-area, the cooperative extension) are not decoded
-        // just to be re-serialized — a bucket window can carry thousands
-        // of probes, and the lookup path should never re-pay for them.
-        match raw.as_ref().first().copied() {
-            Some(crate::codec::op::COUNT)
-            | Some(crate::codec::op::WINDOW)
-            | Some(crate::codec::op::EPS_RANGE)
-            | Some(crate::codec::op::MULTI_COUNT) => {
-                match decode_request(raw.clone()) {
-                    Ok(Request::Count(w)) => self.handle_count(raw, w),
-                    Ok(Request::MultiCount(windows)) => self.handle_multi_count(raw, windows),
-                    Ok(Request::Window(w)) => self.handle_window(raw, w),
-                    Ok(Request::EpsRange { q, eps }) => self.handle_eps_range(raw, q, eps),
-                    Ok(_) => unreachable!("opcode dispatch matches the decoder"),
-                    // A known opcode with a garbled payload (truncated
-                    // window, bad varint) still answers typed.
-                    Err(_) => crate::codec::malformed_frame(),
-                }
-            }
-            Some(crate::codec::op::APPLY_UPDATES) => {
-                // Updates always ship (the cache never absorbs a write);
-                // the `Ack` carries the new serving generation, which the
-                // store must learn *before* the next lookup so stale
-                // entries stop matching immediately.
-                let reply = self.forward_raw(raw);
-                // `Ack`s need no window context to decode in either wire
-                // version.
-                if let Ok((Response::Ack { generation }, _)) =
-                    decode_response_gen_ctx(reply.clone(), None)
-                {
-                    self.cache.note_generation(generation);
-                }
-                reply
-            }
-            Some(crate::codec::op::APPLY_UPDATES_SEQ) => {
-                // An update already enveloped by an upstream retry layer:
-                // ship it verbatim so the original dedup tag survives to
-                // the server's at-most-once table (re-framing would mint
-                // a fresh tag and defeat the replay). Metered as the one
-                // update exchange it is when this layer owns the meter.
-                let reply = self.inner.exchange(raw.clone());
-                if !self.inner_premetered && !crate::codec::is_unavailable(&reply) {
-                    if let Some((_, body)) = crate::codec::peel_dedup(&raw) {
-                        if let Ok(req) = decode_request(body) {
-                            self.meter
-                                .record_request(&req, raw.len() as u64, &self.packet);
-                            self.meter.record_response(
-                                reply.len() as u64,
-                                0,
-                                &self.packet,
-                                req.is_aggregate(),
-                            );
-                        }
-                    }
-                }
-                if let Ok((Response::Ack { generation }, _)) =
-                    decode_response_gen_ctx(reply.clone(), None)
-                {
-                    self.cache.note_generation(generation);
-                }
-                reply
-            }
-            _ => self.forward_raw(raw),
-        }
-    }
+/// Payload bytes of `resp` in the v1 framing, stamped at `generation`
+/// (generation 0 carries no stamp).
+fn reply_bytes(resp: &Response, generation: u64) -> u64 {
+    let stamp = if generation > 0 { GEN_STAMP_BYTES } else { 0 };
+    stamp + response_wire_bytes(resp)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::{ShardEndpoint, ShardRouter};
+    use crate::codec::{
+        decode_request, encode_request, encode_response, encode_response_into, stamp_generation,
+    };
+    use crate::router::ShardEndpoint;
     use crate::testutil::ScanHandler as Scan;
     use crate::transport::{InProcExchange, Link};
+    use bytes::{Bytes, BytesMut};
 
     fn lattice(n: u32) -> Vec<SpatialObject> {
         (0..n * n)
@@ -1446,14 +1218,19 @@ mod tests {
     fn enveloped_updates_pass_through_with_tag_intact() {
         use crate::proto::Update;
         // A server double that peels the envelope and acks, recording the
-        // tags it saw.
+        // tags it saw; its first Ack is lost on the way back, so the
+        // cached link's edge must redeliver the batch.
         struct TagWitness {
             tags: Mutex<Vec<crate::codec::DedupTag>>,
         }
         impl RawExchange for TagWitness {
             fn exchange(&self, raw: Bytes) -> Bytes {
                 let (tag, _body) = crate::codec::peel_dedup(&raw).expect("enveloped");
-                self.tags.lock().unwrap().push(tag);
+                let mut tags = self.tags.lock().unwrap();
+                tags.push(tag);
+                if tags.len() == 1 {
+                    return crate::codec::unavailable_frame();
+                }
                 encode_response(&Response::Ack { generation: 7 })
             }
         }
@@ -1470,18 +1247,16 @@ mod tests {
             Box::new(Shared(Arc::clone(&witness))),
             PacketModel::default(),
             Arc::new(ClientCache::new(1 << 20)),
-        );
-        let inner = encode_request(&Request::ApplyUpdates(vec![Update::Delete(3)]));
-        let tag = crate::codec::DedupTag { nonce: 42, seq: 9 };
-        let reply = layer.exchange(crate::codec::wrap_dedup(tag, &inner));
-        let (resp, _) = decode_response_gen(reply).unwrap();
+        )
+        .with_retry(RetryPolicy::attempts(3));
+        let link = Link::cached(layer, 1.0);
+        let resp = link.request(&Request::ApplyUpdates(vec![Update::Delete(3)]));
         assert_eq!(resp, Response::Ack { generation: 7 });
-        assert_eq!(
-            *witness.tags.lock().unwrap(),
-            vec![tag],
-            "tag survives verbatim"
-        );
+        let tags = witness.tags.lock().unwrap();
+        assert_eq!(tags.len(), 2, "one lost delivery, one retry");
+        assert_eq!(tags[0], tags[1], "the retry carries the same tag verbatim");
         // The Ack's generation was noted so stale entries stop matching.
-        assert_eq!(layer.view().store().generation(), 7);
+        assert_eq!(link.cache().unwrap().store().generation(), 7);
+        assert_eq!(link.meter().snapshot().retried, 1);
     }
 }

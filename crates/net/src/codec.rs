@@ -95,8 +95,8 @@ pub const DEDUP_HEADER_BYTES: u64 = 1 + 8 + 8;
 /// Frame-layout strategy of one physical link — the negotiated wire
 /// protocol version. `V1` is the seed format every peer speaks; `V2` is a
 /// strict superset a link may upgrade to via the `HELLO`/`ACCEPT`
-/// handshake (see [`crate::proto::Hello`]): requests gain a 1-byte
-/// envelope marker, object frames switch to the compact layout
+/// handshake ([`encode_hello`], [`try_answer_hello`]): requests gain a
+/// 1-byte envelope marker, object frames switch to the compact layout
 /// ([`ObjectsEncoder`]), counts and acks travel as LEB128 varints, and
 /// generation stamps shrink to a varint. Everything else keeps its v1
 /// layout — a v2 decoder accepts both, so the upgrade is per-frame
@@ -869,56 +869,8 @@ pub fn stamp_generation(generation: u64, buf: &mut BytesMut) {
 /// Decodes a response frame that may carry a generation stamp. Unstamped
 /// frames (everything a frozen, generation-0 store serves) decode exactly
 /// as [`decode_response`] and report generation 0.
-pub fn decode_response_gen(mut buf: Bytes) -> Result<(Response, u64), CodecError> {
-    if buf.remaining() >= 1 && buf[0] == op::R_GEN {
-        buf.advance(1);
-        if buf.remaining() < 8 {
-            return Err(CodecError::Truncated);
-        }
-        let generation = buf.get_u64();
-        Ok((decode_response(buf)?, generation))
-    } else {
-        Ok((decode_response(buf)?, 0))
-    }
-}
-
-/// Splits a raw response frame into its generation and the unstamped
-/// remainder **without decoding the payload** — the cheap peek the
-/// premetered forwarding paths use. Handles both stamp envelopes (v1's
-/// fixed `[R_GEN][u64]` and v2's `[R_GEN_V2][varint]`); unstamped frames
-/// report generation 0 and come back unchanged.
-pub fn peel_generation(buf: Bytes) -> Result<(u64, Bytes), CodecError> {
-    if buf.remaining() >= 1 && buf[0] == op::R_GEN {
-        if buf.remaining() < GEN_STAMP_BYTES as usize {
-            return Err(CodecError::Truncated);
-        }
-        let generation = u64::from_be_bytes(buf[1..9].try_into().expect("9-byte stamp"));
-        let rest = buf.slice(GEN_STAMP_BYTES as usize..buf.len());
-        Ok((generation, rest))
-    } else if buf.remaining() >= 1 && buf[0] == op::R_GEN_V2 {
-        let mut generation = 0u64;
-        let mut shift = 0u32;
-        let mut at = 1usize;
-        loop {
-            if at >= buf.len() || shift > 63 {
-                return Err(CodecError::Truncated);
-            }
-            let b = buf[at];
-            at += 1;
-            generation |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-        }
-        if at >= buf.len() {
-            // A bare stamp with no frame behind it.
-            return Err(CodecError::Truncated);
-        }
-        Ok((generation, buf.slice(at..buf.len())))
-    } else {
-        Ok((0, buf))
-    }
+pub fn decode_response_gen(buf: Bytes) -> Result<(Response, u64), CodecError> {
+    decode_response_gen_ctx(buf, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -977,6 +929,57 @@ fn snap_rect_f32(r: &Rect) -> Rect {
         Point::new((r.min.x as f32) as f64, (r.min.y as f32) as f64),
         Point::new((r.max.x as f32) as f64, (r.max.y as f32) as f64),
     )
+}
+
+/// The request exactly as a server decodes it: every rectangle, object
+/// MBR and ε snapped through `f32` like the v1 wire layout carries them,
+/// so `wire_form(req) == decode_request(encode_request(req))`. Layers
+/// that reason about a request instead of shipping it — cache
+/// containment, router pruning and owner routing — must see this form,
+/// or float rounding could make a local answer diverge from a remote
+/// one. Snapping is idempotent, and a snapped request encodes to the
+/// same bytes as the original.
+pub fn wire_form(req: &Request) -> Request {
+    let eps32 = |eps: f64| (eps as f32) as f64;
+    let obj = |o: &SpatialObject| SpatialObject::new(o.id, snap_rect_f32(&o.mbr));
+    match req {
+        Request::Window(w) => Request::Window(snap_rect_f32(w)),
+        Request::Count(w) => Request::Count(snap_rect_f32(w)),
+        Request::AvgArea(w) => Request::AvgArea(snap_rect_f32(w)),
+        Request::EpsRange { q, eps } => Request::EpsRange {
+            q: snap_rect_f32(q),
+            eps: eps32(*eps),
+        },
+        Request::BucketEpsRange { probes, eps } => Request::BucketEpsRange {
+            probes: probes.iter().map(obj).collect(),
+            eps: eps32(*eps),
+        },
+        Request::MultiCount(windows) => {
+            Request::MultiCount(windows.iter().map(snap_rect_f32).collect())
+        }
+        Request::CoopLevelMbrs(level) => Request::CoopLevelMbrs(*level),
+        Request::CoopFilterByMbrs { mbrs, eps } => Request::CoopFilterByMbrs {
+            mbrs: mbrs.iter().map(snap_rect_f32).collect(),
+            eps: eps32(*eps),
+        },
+        Request::CoopJoinPush { objects, eps } => Request::CoopJoinPush {
+            objects: objects.iter().map(obj).collect(),
+            eps: eps32(*eps),
+        },
+        Request::ApplyUpdates(batch) => Request::ApplyUpdates(
+            batch
+                .iter()
+                .map(|u| match u {
+                    Update::Insert(o) => Update::Insert(obj(o)),
+                    Update::Delete(id) => Update::Delete(*id),
+                    Update::Move { id, to } => Update::Move {
+                        id: *id,
+                        to: snap_rect_f32(to),
+                    },
+                })
+                .collect(),
+        ),
+    }
 }
 
 /// The u16 coordinate grid of one request/response exchange — the request
@@ -1291,13 +1294,32 @@ pub fn stamp_generation_versioned(generation: u64, wire: WireVersion, buf: &mut 
 }
 
 /// [`decode_response_gen`] for frames of either version: handles both
-/// stamp envelopes, then decodes with `ctx`.
+/// stamp envelopes (v1's fixed `[R_GEN][u64]` and v2's
+/// `[R_GEN_V2][varint]`), then decodes with `ctx`. Unstamped frames report
+/// generation 0; a truncated stamp, or a stamp with no frame behind it,
+/// is rejected rather than misread.
 pub fn decode_response_gen_ctx(
-    buf: Bytes,
+    mut buf: Bytes,
     ctx: Option<&QuantCtx>,
 ) -> Result<(Response, u64), CodecError> {
-    let (generation, rest) = peel_generation(buf)?;
-    Ok((decode_response_ctx(rest, ctx)?, generation))
+    let generation = match buf.first() {
+        Some(&op::R_GEN) => {
+            buf.advance(1);
+            if buf.remaining() < 8 {
+                return Err(CodecError::Truncated);
+            }
+            buf.get_u64()
+        }
+        Some(&op::R_GEN_V2) => {
+            buf.advance(1);
+            get_varint(&mut buf)?
+        }
+        _ => return Ok((decode_response_ctx(buf, ctx)?, 0)),
+    };
+    if buf.is_empty() {
+        return Err(CodecError::Truncated);
+    }
+    Ok((decode_response_ctx(buf, ctx)?, generation))
 }
 
 /// Encodes the `HELLO` probe a negotiating client opens a link with.
@@ -1705,12 +1727,18 @@ mod tests {
             GEN_STAMP_BYTES + response_wire_bytes(&resp)
         );
         assert_eq!(decode_response_gen(raw.clone()).unwrap(), (resp.clone(), 3));
-        let (gen, rest) = peel_generation(raw.clone()).unwrap();
-        assert_eq!(gen, 3);
-        assert_eq!(rest, encode_response(&resp));
-        // Peeling an unstamped frame is the identity.
+        // The v2 envelope peels to the same generation and frame.
+        let mut v2 = BytesMut::new();
+        stamp_generation_versioned(3, WireVersion::V2, &mut v2);
+        encode_response_into(&resp, &mut v2);
+        let v2 = v2.freeze();
+        assert_eq!(
+            decode_response_gen_ctx(v2.clone(), None).unwrap(),
+            (resp.clone(), 3)
+        );
+        // An unstamped frame decodes at generation 0.
         let plain = encode_response(&resp);
-        assert_eq!(peel_generation(plain.clone()).unwrap(), (0, plain));
+        assert_eq!(decode_response_gen_ctx(plain, None).unwrap(), (resp, 0));
         // A truncated stamp is rejected, not misread as generation 0.
         for cut in [1, 5, 8] {
             assert_eq!(
@@ -1718,12 +1746,16 @@ mod tests {
                 Err(CodecError::Truncated),
                 "cut={cut}"
             );
-            assert_eq!(
-                peel_generation(raw.slice(0..cut)),
-                Err(CodecError::Truncated),
-                "cut={cut}"
-            );
         }
+        assert_eq!(
+            decode_response_gen_ctx(v2.slice(0..1), None),
+            Err(CodecError::Truncated)
+        );
+        assert_eq!(
+            decode_response_gen_ctx(v2.slice(0..2), None),
+            Err(CodecError::Truncated),
+            "a bare v2 stamp"
+        );
         // A bare stamp with no frame behind it is also truncated.
         assert_eq!(
             decode_response_gen(raw.slice(0..GEN_STAMP_BYTES as usize)),

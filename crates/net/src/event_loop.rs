@@ -1,10 +1,11 @@
-//! Event-loop carrier: one reactor thread serving every endpoint.
+//! Event-loop carrier: reactor threads serving endpoints.
 //!
-//! The channel carrier of [`crate::transport`] spends one OS thread per
-//! server — fine for the paper's two-server prototype, fatal for a
-//! many-device harness where a fleet of shard servers times two sides
-//! times N simulated devices would otherwise demand hundreds of threads.
-//! This module multiplexes *all* serving onto a single reactor thread:
+//! This is the one server-side carrier besides the in-process call. A
+//! reactor can serve a single endpoint — one thread per server, the
+//! paper's two-server prototype and the `threaded()` deployments — or
+//! multiplex *all* serving onto one thread, which a many-device harness
+//! needs: a fleet of shard servers times two sides times N simulated
+//! devices would otherwise demand hundreds of threads.
 //!
 //! * an [`EventLoop`] owns the reactor — a plain poll loop draining one
 //!   MPMC ready-queue (crossbeam channel; there is no tokio here, and
@@ -45,7 +46,7 @@
 //! sentinel behind in-flight requests (FIFO — they all still complete);
 //! connections that outlive the loop degrade to
 //! [`Response::Unavailable`](crate::Response::Unavailable) instead of
-//! panicking, exactly like the channel carrier.
+//! panicking.
 //!
 //! Per-endpoint [`EndpointStats`] gauge the instantaneous ready-queue
 //! depth (enqueued on send, decremented when served) with a high-water
@@ -176,8 +177,8 @@ enum Event {
 
 /// The reactor: one thread multiplexing every endpoint and connection
 /// registered on it. Dropping it shuts the thread down without
-/// deadlocking on live connections (shutdown sentinel, like
-/// [`crate::ChannelServer`]).
+/// deadlocking on live connections: a shutdown sentinel queues behind
+/// the requests already sent, which are all still served.
 pub struct EventLoop {
     tx: Sender<Event>,
     thread: Option<std::thread::JoinHandle<u64>>,
@@ -364,8 +365,9 @@ impl RawExchange for EventConnection {
             })
             .is_err()
         {
-            // The reactor is gone: same graceful degradation as a dead
-            // channel server.
+            // The reactor is gone: degrade to the locally fabricated
+            // unavailable frame — a server dying mid-session must not take
+            // the device down with it.
             self.stats.dequeued();
             return Box::new(crate::codec::unavailable_frame);
         }

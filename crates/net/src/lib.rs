@@ -23,24 +23,32 @@
 //!   mirroring the paper's constant object size);
 //! * [`LinkMeter`] — atomically counts uplink/downlink wire bytes and query
 //!   mix per link; *this is where every reported number comes from*;
-//! * [`transport`] — synchronous RPC over two interchangeable carriers: an
-//!   in-process call (fast, used by the experiment sweeps) and a
-//!   crossbeam-channel connection to a server thread (the "distributed"
-//!   deployment used by examples and integration tests);
-//! * [`event_loop`] — the **many-device carrier**: one reactor thread
-//!   multiplexing every server endpoint and every device connection over
-//!   a ready-queue, per-connection `HELLO`/`ACCEPT` negotiation state
+//! * [`transport`] — the byte-level [`RawExchange`] carrier seam with its
+//!   in-process carrier (fast, used by the experiment sweeps), and the
+//!   device's [`Link`], which passes [`Request`] values down a stack of
+//!   layers and tracks the serving generation;
+//! * the **physical edge** (`edge.rs`) — the only place bytes cross: one
+//!   edge per destination owns its carriers (one per replica), the meter
+//!   row every completed exchange is charged to, the negotiated wire
+//!   version, the retry policy with its dedup sequence and the replicas'
+//!   breaker health, and one split-phase driver runs every attempt. The
+//!   layers above it never frame, retry or meter anything themselves, so
+//!   no byte is ever charged twice;
+//! * [`event_loop`] — the server-side carrier: reactor threads serving
+//!   endpoints over a ready-queue — one reactor per server (the
+//!   "distributed" deployment of examples and integration tests), or one
+//!   shared by every endpoint and device connection (the **many-device
+//!   carrier**) — with per-connection `HELLO`/`ACCEPT` negotiation state
 //!   owned by the reactor, typed error frames for garbled input, and
-//!   per-endpoint queue-depth gauges — thousands of simulated devices
-//!   without a thread per connection;
+//!   per-endpoint queue-depth gauges;
 //! * [`router`] — the **scatter-gather extension**: a [`ShardRouter`]
-//!   fronts a fleet of shard servers behind the same carrier seam, pruning
-//!   shards by advertised bounds, sub-batching batched requests, merging
-//!   and deduplicating answers, and metering both per shard and in
-//!   aggregate. A fleet of one is a byte-transparent proxy, so sharding is
+//!   fronts a fleet of shard servers, one physical edge per shard,
+//!   pruning shards by advertised bounds, sub-batching batched requests,
+//!   merging and deduplicating answers, and metering both per shard and
+//!   in aggregate. A fleet of one is one unpruned flight, so sharding is
 //!   wire-identical to a flat deployment at N = 1;
-//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] on the
-//!   same carrier seam (in front of a flat server *or* a whole fleet)
+//! * [`cache`] — the **client-cache extension**: a [`CacheLayer`] (in
+//!   front of a flat server *or* a whole fleet)
 //!   answers repeated `COUNT`s from an exact statistics tier and
 //!   contained `WINDOW`/ε-RANGE requests from a byte-budgeted window
 //!   tier. Entries are keyed by the **serving generation** each response
@@ -50,18 +58,18 @@
 //!   **off by default** (off ⇒ byte-identical wire traffic);
 //!   hits/misses/saved bytes are tallied in a [`CacheSnapshot`];
 //! * [`fault`] — the **deterministic fault injector**: a [`FaultLayer`]
-//!   on the same carrier seam replays scripted drops, delays, garbled
+//!   on the carrier seam replays scripted drops, delays, garbled
 //!   frames and crash-then-restart windows from a seeded [`FaultPlan`],
 //!   so every chaos run is reproducible. Pairs with the
 //!   [`packet::RetryPolicy`] retry/backoff discipline (off by default —
-//!   off ⇒ byte-identical wire traffic) that re-issues failed exchanges,
-//!   dedup-enveloping `ApplyUpdates` so retried deliveries are
-//!   at-most-once;
+//!   off ⇒ byte-identical wire traffic) with which the physical edges
+//!   re-issue failed exchanges, dedup-enveloping `ApplyUpdates` so
+//!   retried deliveries are at-most-once;
 //! * [`health`] — the **replica failover extension**: per-replica-edge
 //!   circuit breakers (closed → open after K consecutive failures →
 //!   half-open probe after a deterministic, exchange-counted cooldown)
-//!   and integer EWMA failure tracking. The [`ShardRouter`] spreads reads
-//!   across a shard's replicas by request hash, skips open breakers,
+//!   and integer EWMA failure tracking. A shard's edge spreads reads
+//!   across its replicas by request hash, skips open breakers,
 //!   fails a lost exchange over to the next sibling *before* consuming
 //!   retry budget, and rejects replies below the shard's observed
 //!   generation floor so handoff never serves stale state. Gated by
@@ -79,6 +87,7 @@
 
 pub mod cache;
 pub mod codec;
+mod edge;
 pub mod event_loop;
 pub mod fault;
 pub mod health;
@@ -165,4 +174,4 @@ pub use meter::{CacheSnapshot, CacheTelemetry, LinkMeter, LinkSnapshot};
 pub use packet::{NetConfig, PacketModel, RetryPolicy};
 pub use proto::{QueryHandler, Request, Response, Update};
 pub use router::{FleetSnapshot, ShardEndpoint, ShardMeta, ShardRouter, ShardTelemetry};
-pub use transport::{ChannelServer, Link, RawExchange, ServerHandle};
+pub use transport::{Link, RawExchange};

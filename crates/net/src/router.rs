@@ -4,8 +4,9 @@
 //! *fleet* of shard servers, each holding a spatial partition of the
 //! objects (see `asj_server::partition`). The [`ShardRouter`] is the
 //! device-side library that makes a fleet look like one server: it
-//! implements [`RawExchange`], so it slots under an ordinary [`Link`] and
-//! every join algorithm works unchanged.
+//! answers [`Request`] values with one physical edge per shard below it,
+//! so it slots under an ordinary [`Link`](crate::Link) and every join
+//! algorithm works unchanged.
 //!
 //! For each logical request the router
 //!
@@ -13,7 +14,8 @@
 //!    (a shard's bounds cover the full MBRs of all its objects, including
 //!    boundary straddlers, so pruning never loses a result);
 //! 2. **scatters** sub-requests to the survivors — split-phase via
-//!    [`RawExchange::begin`], so threaded shard servers work concurrently;
+//!    [`RawExchange::begin`], so shard servers on their own threads work
+//!    concurrently;
 //!    batched requests (`MultiCount`, `BucketEpsRange`) are *sub-batched*:
 //!    each shard receives only the probes that can touch it;
 //! 3. **merges** the responses: object lists are concatenated and
@@ -22,20 +24,18 @@
 //!    areas are weighted by matching-object count, and cooperative level
 //!    MBRs concatenate into a forest level (the fleet's defined
 //!    cooperative-mode answer);
-//! 4. **meters** every physical exchange into a per-shard [`LinkMeter`]
-//!    *and* the aggregate meter the fronting [`Link`] exposes — reported
-//!    bytes are the scatter traffic that actually crossed the wire.
+//! 4. **meters** every physical exchange — the shard edges charge a
+//!    per-replica, a per-shard [`LinkMeter`] *and* the aggregate meter the
+//!    fronting [`Link`](crate::Link) exposes — so reported bytes are the
+//!    scatter traffic that actually crossed the wire.
 //!
-//! The router lives at the *byte* seam deliberately: it slots under any
-//! [`Link`] without a new interface, at the price of one extra
-//! encode/decode of the merged response per logical RPC (µs-scale CPU in
-//! a simulation whose metric is bytes — a decoded side-channel would
-//! remove it if that ever mattered).
+//! The router never sees a frame: it routes and merges decoded values,
+//! and its shard edges frame, retry and meter every exchange.
 //!
-//! A fleet of **one** shard is a byte-transparent proxy: the encoded
-//! request and response pass through unchanged and nothing is ever pruned,
-//! so a 1-shard deployment is wire-identical to a flat one — the anchor of
-//! the differential test suite.
+//! A fleet of **one** shard with one replica is one unpruned flight: the
+//! request goes to the shard unchanged and the reply comes back with the
+//! shard's own stamp, so a 1-shard deployment is wire-identical to a flat
+//! one — the anchor of the differential test suite.
 //!
 //! **Live updates.** `Request::ApplyUpdates` scatters to *owning* shards:
 //! each insert or move is routed to the shard whose partition cell holds
@@ -47,11 +47,10 @@
 //! per-shard generations, advances by exactly the shard count per batch
 //! and is injective in the number of applied batches. The router learns
 //! shard generations from the `Ack`s and from the generation stamps on
-//! query responses, tracks them in per-shard [`ShardMeta`]s, and stamps
-//! every merged response with the fleet generation (a frozen fleet sums
-//! to 0 and stays stamp-free, i.e. bit-identical to the pre-generation
-//! wire format). Owner routing needs a declared partition: a fleet whose
-//! shards carry no cells refuses updates.
+//! query responses, tracks them in per-shard [`ShardMeta`]s, and answers
+//! every merged response at the fleet generation (a frozen fleet sums to
+//! 0). Owner routing needs a declared partition: a fleet whose shards
+//! carry no cells refuses updates.
 //!
 //! If any contacted shard answers [`Response::Refused`] (e.g. a
 //! cooperative query against a non-cooperative fleet), the merged answer
@@ -64,13 +63,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use asj_geom::{Point, Rect, SpatialObject};
-use bytes::{Bytes, BytesMut};
 
-use crate::codec::{
-    decode_request, decode_response_gen, decode_response_gen_ctx, encode_request_versioned,
-    encode_response_into, stamp_generation, DedupTag, QuantCtx, WireVersion,
-};
-use crate::health::{spread_hash, BreakerConfig, HealthSnapshot, ReplicaSetHealth};
+use crate::codec::WireVersion;
+use crate::edge::{Edge, Flight, Landing};
+use crate::health::{BreakerConfig, HealthSnapshot, ReplicaSetHealth};
 use crate::meter::{LinkMeter, LinkSnapshot};
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{Request, Response, Update};
@@ -148,11 +144,6 @@ impl ShardMeta {
 pub struct ShardEndpoint {
     meta: Arc<ShardMeta>,
     replicas: Vec<Box<dyn RawExchange>>,
-    /// Wire version of this shard's physical links: [`WireVersion::V1`]
-    /// until [`ShardRouter::negotiate_v2`] runs and **every** replica
-    /// `ACCEPT`s (a mixed replica set stays v1 so failover never changes
-    /// the frame format mid-request).
-    wire: WireVersion,
 }
 
 impl ShardEndpoint {
@@ -175,7 +166,6 @@ impl ShardEndpoint {
         ShardEndpoint {
             meta,
             replicas: carriers,
-            wire: WireVersion::V1,
         }
     }
 
@@ -201,7 +191,8 @@ pub struct ShardTelemetry {
     health: Vec<Arc<ReplicaSetHealth>>,
     breaker: BreakerConfig,
     metas: Vec<Arc<ShardMeta>>,
-    scattered: AtomicU64,
+    /// Completed shard exchanges, counted by the shard edges.
+    scattered: Arc<AtomicU64>,
     pruned: AtomicU64,
     /// Shards that actually failed to serve: a read whose entire replica
     /// set was exhausted (whether surfaced as `Unavailable` or skipped by
@@ -228,7 +219,7 @@ impl ShardTelemetry {
                 .collect(),
             breaker: BreakerConfig::disabled(),
             metas,
-            scattered: AtomicU64::new(0),
+            scattered: Arc::new(AtomicU64::new(0)),
             pruned: AtomicU64::new(0),
             failed: Mutex::new(BTreeSet::new()),
         }
@@ -373,24 +364,14 @@ impl FleetSnapshot {
     }
 }
 
-/// Scatter-gather carrier over a fleet of shard servers. See the module
-/// docs for the routing, merging and metering rules.
+/// Scatter-gather router over a fleet of shard servers, one physical
+/// edge per shard. See the module docs for the routing, merging and
+/// metering rules.
 pub struct ShardRouter {
-    shards: Vec<ShardEndpoint>,
+    edges: Vec<Edge>,
     packet: PacketModel,
     aggregate: Arc<LinkMeter>,
     telemetry: Arc<ShardTelemetry>,
-    /// Retry/backoff discipline of the physical per-shard exchanges. Off
-    /// by default — one attempt per slot, wire traffic byte-identical to
-    /// a policy-less router.
-    retry: RetryPolicy,
-    /// Per-shard retry-dedup identity: (sender nonce, next batch seq).
-    /// Each (router, shard) edge is its own sender, so sub-batch retries
-    /// dedup independently per shard — and every replica of a shard
-    /// receives the *same* tagged bytes, so a replica that sees a
-    /// broadcast sub-batch twice (retry, or catch-up replay) applies it
-    /// once.
-    dedup: Vec<(u64, AtomicU64)>,
     /// Partial-result tolerance: when on, a read whose entire replica
     /// set for some shard is exhausted completes without that shard's
     /// contribution instead of surfacing `Unavailable`. Off by default.
@@ -401,21 +382,44 @@ impl ShardRouter {
     /// Builds a router over `shards` (at least one) with fresh meters.
     pub fn new(shards: Vec<ShardEndpoint>, packet: PacketModel) -> Self {
         assert!(!shards.is_empty(), "a fleet needs at least one shard");
-        let telemetry = Arc::new(ShardTelemetry::new(
+        let telemetry = ShardTelemetry::new(
             shards.iter().map(|s| Arc::clone(&s.meta)).collect(),
             shards.iter().map(|s| s.replicas.len()).collect(),
-        ));
-        let dedup = shards
-            .iter()
-            .map(|_| (crate::transport::next_link_nonce(), AtomicU64::new(0)))
+        );
+        let aggregate = Arc::new(LinkMeter::new());
+        // Each replica's exchanges are charged three times — replica,
+        // shard, aggregate — so `aggregate == Σ shard == Σ Σ replica`
+        // holds by construction (the conservation law the stress tests
+        // pin).
+        let edges = shards
+            .into_iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let rows = telemetry.replica_meters[i]
+                    .iter()
+                    .map(|replica| {
+                        vec![
+                            Arc::clone(replica),
+                            Arc::clone(&telemetry.meters[i]),
+                            Arc::clone(&aggregate),
+                        ]
+                    })
+                    .collect();
+                Edge::new(
+                    s.replicas,
+                    rows,
+                    Some(Arc::clone(&telemetry.scattered)),
+                    packet,
+                    Arc::clone(&telemetry.health[i]),
+                    s.meta,
+                )
+            })
             .collect();
         ShardRouter {
-            shards,
+            edges,
             packet,
-            aggregate: Arc::new(LinkMeter::new()),
-            telemetry,
-            retry: RetryPolicy::default(),
-            dedup,
+            aggregate,
+            telemetry: Arc::new(telemetry),
             allow_partial: false,
         }
     }
@@ -427,8 +431,14 @@ impl ShardRouter {
     /// [`Response::Unavailable`] with the shard recorded in
     /// [`FleetSnapshot::failed_shards`].
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.set_retry(retry);
         self
+    }
+
+    pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
+        for edge in &mut self.edges {
+            edge.retry = retry;
+        }
     }
 
     /// Adopts a circuit-breaker discipline for replica routing: replicas
@@ -440,6 +450,9 @@ impl ShardRouter {
         Arc::get_mut(&mut self.telemetry)
             .expect("configure breakers before sharing the telemetry")
             .breaker = cfg;
+        for edge in &mut self.edges {
+            edge.breaker = cfg;
+        }
         self
     }
 
@@ -477,375 +490,62 @@ impl ShardRouter {
     /// Only the deployment layer calls this, and only when
     /// `NetConfig::wire_v2` is on.
     pub fn negotiate_v2(&mut self) {
-        for s in &mut self.shards {
-            let all_v2 = s
-                .replicas
-                .iter()
-                .all(|c| crate::transport::negotiate_wire(c.as_ref()) == WireVersion::V2);
-            s.wire = if all_v2 {
-                WireVersion::V2
-            } else {
-                WireVersion::V1
-            };
+        for edge in &mut self.edges {
+            edge.negotiate();
         }
     }
 
     /// The wire version of each shard link, in shard order. All
     /// [`WireVersion::V1`] unless [`ShardRouter::negotiate_v2`] ran.
     pub fn wire_versions(&self) -> Vec<WireVersion> {
-        self.shards.iter().map(|s| s.wire).collect()
-    }
-
-    // Every event is recorded three times — aggregate, per-shard meter,
-    // per-replica meter — so `aggregate == Σ shard == Σ Σ replica` holds
-    // by construction (the conservation law the stress tests pin).
-    fn record_request(&self, shard: usize, replica: usize, req: &Request, payload: u64) {
-        self.telemetry.meters[shard].record_request(req, payload, &self.packet);
-        self.telemetry.replica_meters[shard][replica].record_request(req, payload, &self.packet);
-        self.aggregate.record_request(req, payload, &self.packet);
-        self.telemetry.scattered.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn record_response(
-        &self,
-        shard: usize,
-        replica: usize,
-        payload: u64,
-        resp: &Response,
-        aggregate: bool,
-    ) {
-        let objects = resp.object_count();
-        self.telemetry.meters[shard].record_response(payload, objects, &self.packet, aggregate);
-        self.telemetry.replica_meters[shard][replica].record_response(
-            payload,
-            objects,
-            &self.packet,
-            aggregate,
-        );
-        self.aggregate
-            .record_response(payload, objects, &self.packet, aggregate);
-    }
-
-    fn record_retry(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_retry();
-        self.telemetry.replica_meters[shard][replica].record_retry();
-        self.aggregate.record_retry();
-    }
-
-    fn record_abandon(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_abandon();
-        self.telemetry.replica_meters[shard][replica].record_abandon();
-        self.aggregate.record_abandon();
-    }
-
-    fn record_failover(&self, shard: usize, replica: usize) {
-        self.telemetry.meters[shard].record_failover();
-        self.telemetry.replica_meters[shard][replica].record_failover();
-        self.aggregate.record_failover();
-    }
-
-    /// Notes a failed exchange on one replica edge's breaker; meters the
-    /// trip when this failure is the one that opens (or re-opens) it.
-    fn note_edge_failure(&self, shard: usize, replica: usize) {
-        let set = &self.telemetry.health[shard];
-        if set
-            .edge(replica)
-            .on_failure(&self.telemetry.breaker, set.now())
-        {
-            self.telemetry.meters[shard].record_breaker_open();
-            self.telemetry.replica_meters[shard][replica].record_breaker_open();
-            self.aggregate.record_breaker_open();
-        }
-    }
-
-    /// Attempts per physical exchange under the current policy.
-    fn attempt_budget(&self) -> u32 {
-        if self.retry.enabled() {
-            self.retry.max_attempts
-        } else {
-            1
-        }
-    }
-
-    /// Encodes one sub-request for `shard`, wrapping `ApplyUpdates`
-    /// batches in the per-shard retry-dedup envelope when retries are on
-    /// (same tag across every retry of the sub-batch).
-    fn encode_sub(&self, shard: usize, req: &Request) -> Bytes {
-        let encoded = encode_request_versioned(req, self.shards[shard].wire);
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
-            let (nonce, seq) = &self.dedup[shard];
-            return crate::codec::wrap_dedup(
-                DedupTag {
-                    nonce: *nonce,
-                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                },
-                &encoded,
-            );
-        }
-        encoded
+        self.edges.iter().map(|e| e.wire).collect()
     }
 
     /// The fleet generation: sum of per-shard observed generations.
     pub fn fleet_generation(&self) -> u64 {
-        self.shards.iter().map(|s| s.meta.generation()).sum()
+        self.edges.iter().map(|e| e.meta.generation()).sum()
     }
 
-    /// Fleet-of-one fast path: a byte-transparent, fully metered proxy.
-    /// On a v1 shard link the reply is forwarded verbatim (stamp and
-    /// all) and the router only *notes* the shard generation it carries.
-    /// When the single shard negotiated v2 the router re-frames instead
-    /// — v2 to the shard (metering the compact frames that actually
-    /// crossed the physical link), v1 back to the client, re-stamped
-    /// with the shard's generation — so everything above the router
-    /// keeps speaking v1 regardless of the fleet's mix.
-    fn pass_through(&self, raw: Bytes) -> Bytes {
-        let req = match decode_request(raw.clone()) {
-            Ok(req) => req,
-            // A garbled frame from above gets the typed error reply a
-            // real server would send — routers never panic a shared path.
-            Err(_) => return crate::codec::malformed_frame(),
+    /// Answers one logical request (in wire form) with the merged
+    /// response and the generation it was served at: the fleet
+    /// generation observed while answering, or — for a fleet of one —
+    /// the shard's own stamp. `Ack`s carry their generation in the
+    /// payload and report 0 here, like the unstamped frame they are.
+    pub(crate) fn call(&self, req: &Request) -> (Response, u64) {
+        if let [edge] = &self.edges[..] {
+            if edge.replica_count() == 1 {
+                return self.single(edge, req);
+            }
+        }
+        let resp = self.scatter_gather(req).unwrap_or_else(|failure| failure);
+        let generation = match resp {
+            Response::Ack { .. } => 0,
+            _ => self.fleet_generation(),
         };
-        let v2 = self.shards[0].wire == WireVersion::V2;
-        let mut encoded = if v2 {
-            encode_request_versioned(&req, WireVersion::V2)
-        } else {
-            raw
-        };
-        if self.retry.enabled() && matches!(req, Request::ApplyUpdates(_)) {
-            let (nonce, seq) = &self.dedup[0];
-            encoded = crate::codec::wrap_dedup(
-                DedupTag {
-                    nonce: *nonce,
-                    seq: seq.fetch_add(1, Ordering::Relaxed),
-                },
-                &encoded,
-            );
-        }
-        let up_len = encoded.len() as u64;
-        let ctx = QuantCtx::for_request(&req);
-        // Typed-failure bytes of the last completed attempt, forwarded
-        // verbatim on exhaustion (a garbled v1 reply stays garbled on the
-        // way up — byte-transparency is per attempt).
-        let mut last_failure: Option<Bytes> = None;
-        for attempt in 0..self.attempt_budget() {
-            if attempt > 0 {
-                self.record_retry(0, 0);
-                self.retry.sleep(attempt);
-            }
-            let reply = self.shards[0].replicas[0].exchange(encoded.clone());
-            if crate::codec::is_unavailable(&reply) {
-                // The shard died: nothing crossed the wire, nothing is
-                // metered — the fabricated frame propagates upward (after
-                // any remaining retries).
-                last_failure = None;
-                continue;
-            }
-            // An undecodable shard reply was still real traffic: meter
-            // it, degrade to the typed `Malformed`.
-            self.record_request(0, 0, &req, up_len);
-            let (resp, generation) = if v2 {
-                decode_response_gen_ctx(reply.clone(), ctx.as_ref())
-            } else {
-                decode_response_gen(reply.clone())
-            }
-            .unwrap_or((Response::Malformed, 0));
-            self.record_response(0, 0, reply.len() as u64, &resp, req.is_aggregate());
-            let out = if v2 {
-                let mut buf = BytesMut::new();
-                if !matches!(resp, Response::Ack { .. }) {
-                    stamp_generation(generation, &mut buf);
-                }
-                encode_response_into(&resp, &mut buf);
-                buf.freeze()
-            } else {
-                reply
-            };
-            if resp == Response::Malformed {
-                last_failure = Some(out);
-                continue;
-            }
-            match &resp {
-                Response::Ack { generation } => self.shards[0].meta.note_generation(*generation),
-                _ if generation > 0 => self.shards[0].meta.note_generation(generation),
-                _ => {}
-            }
-            return out;
-        }
-        if self.retry.enabled() {
-            self.record_abandon(0, 0);
-        }
-        self.telemetry.note_failed(0);
-        last_failure.unwrap_or_else(crate::codec::unavailable_frame)
+        (resp, generation)
     }
 
-    /// Read rotation for one shard's replica set: the admitting replicas
-    /// (breaker closed or half-open), started at the request-hash pick so
-    /// independent requests spread across siblings, in failover order.
-    /// When *every* breaker is open, routing around the whole set would
-    /// guarantee failure, so the full set is used anyway (last resort).
-    fn rotation(&self, shard: usize, hash: u64) -> Vec<usize> {
-        let set = &self.telemetry.health[shard];
-        let cfg = &self.telemetry.breaker;
-        let now = set.now();
-        let n = self.shards[shard].replicas.len();
-        let mut rot: Vec<usize> = (0..n).filter(|&j| set.edge(j).admits(cfg, now)).collect();
-        if rot.is_empty() {
-            rot = (0..n).collect();
-        }
-        let start = (hash % rot.len() as u64) as usize;
-        rot.rotate_left(start);
-        rot
-    }
-
-    /// Issues `f`'s current try split-phase and ticks the replica set's
-    /// exchange clock (the breakers' deterministic cooldown time base).
-    fn issue<'a>(&'a self, f: &mut Flight<'a>) {
-        let replica = f.rotation[f.pos];
-        self.telemetry.health[f.shard].tick();
-        f.inflight = Some((
-            replica,
-            self.shards[f.shard].replicas[replica].begin(f.encoded.clone()),
-        ));
-    }
-
-    /// Judges one completed exchange: meters what crossed the wire,
-    /// resolves the flight on success, records a breaker failure (and
-    /// leaves the flight unresolved, to fail over or retry) otherwise.
-    fn evaluate(&self, f: &mut Flight, replica: usize, raw: Bytes) {
-        if crate::codec::is_unavailable(&raw) {
-            // A dead replica completes with the fabricated frame: neither
-            // direction is metered (nothing crossed the wire).
-            f.outcome = Response::Unavailable;
-            self.note_edge_failure(f.shard, replica);
-            return;
-        }
-        // Both directions are charged only now, on a completed exchange —
-        // a failed replica leaves no phantom uplink bytes behind.
-        self.record_request(f.shard, replica, f.req, f.up_len);
-        let len = raw.len() as u64;
-        let (resp, generation) =
-            decode_response_gen_ctx(raw, f.ctx.as_ref()).unwrap_or((Response::Malformed, 0));
-        self.record_response(f.shard, replica, len, &resp, f.req.is_aggregate());
-        if resp == Response::Malformed {
-            // Real traffic (charged above), garbled answer: worth
-            // another sibling or attempt.
-            f.outcome = Response::Malformed;
-            self.note_edge_failure(f.shard, replica);
-            return;
-        }
-        // The generation floor: a read reply stamped below the highest
-        // generation already observed from this shard came from a
-        // lagging replica. Serving it would hand a generation-keyed
-        // cache (and the client) state known to be superseded, so it is
-        // rejected like a lost exchange — metered, noted on the breaker,
-        // re-fetched from a sibling. Only replica *sets* are floored: a
-        // single-replica shard has no sibling to lag behind, its sole
-        // edge is authoritative, and flooring it would make reads that
-        // race a writer on a shared fleet view reject their own current
-        // replies.
-        if self.shards[f.shard].replicas.len() > 1
-            && !matches!(resp, Response::Ack { .. })
-            && generation < self.shards[f.shard].meta.generation()
-        {
-            f.outcome = Response::Unavailable;
-            self.note_edge_failure(f.shard, replica);
-            return;
-        }
-        if generation > 0 {
-            self.shards[f.shard].meta.note_generation(generation);
-        }
-        self.telemetry.health[f.shard].edge(replica).on_success();
-        f.result = Some(Landing::Resp(resp));
-    }
-
-    /// Drives a set of flights to resolution. All in-flight tries are
-    /// issued split-phase before any completion is awaited, and *failed*
-    /// flights re-issue together too — so recovery latency is the max of
-    /// the failures, not their sum. A failed try first **fails over**
-    /// along the flight's rotation (siblings cost no retry budget);
-    /// only once the rotation is exhausted does a retry round — with the
-    /// policy's backoff, slept once per round — begin, re-picking the
-    /// rotation so breaker trips observed meanwhile are honored.
-    /// Observed shard generations only ever move through the monotone
-    /// [`ShardMeta::note_generation`] max — and failed attempts never
-    /// note one — so a retried round can never regress the generation
-    /// vector.
-    fn execute<'a>(&'a self, flights: &mut [Flight<'a>]) {
-        for f in flights.iter_mut() {
-            self.issue(f);
-        }
-        loop {
-            for f in flights.iter_mut() {
-                if let Some((replica, complete)) = f.inflight.take() {
-                    self.evaluate(f, replica, complete());
+    /// A fleet of one shard with one replica: one unpruned flight, so
+    /// the shard sees exactly the traffic of a flat link.
+    fn single(&self, edge: &Edge, req: &Request) -> (Response, u64) {
+        match Edge::drive(vec![edge.flight(0, req)]).pop() {
+            Some((_, Landing::Served(resp, generation))) => {
+                if let Response::Ack { generation } = resp {
+                    edge.meta.note_generation(generation);
                 }
+                (resp, generation)
             }
-            let mut backoff_round = 0u32;
-            let mut unresolved = false;
-            for f in flights.iter_mut() {
-                if f.result.is_some() {
-                    continue;
-                }
-                unresolved = true;
-                f.pos += 1;
-                if f.pos < f.rotation.len() {
-                    // Failover to the next sibling, before any retry
-                    // budget is consumed (tallied on the edge failed
-                    // *from*).
-                    self.record_failover(f.shard, f.rotation[f.pos - 1]);
-                    f.scheduled = true;
-                    continue;
-                }
-                f.round += 1;
-                if f.round >= self.attempt_budget() {
-                    if self.retry.enabled() {
-                        self.record_abandon(f.shard, f.primary);
-                    }
-                    if !f.pinned {
-                        // The whole replica set is exhausted: the shard
-                        // failed to serve this read. (Pinned update
-                        // flights are judged per *batch* in
-                        // `apply_updates` — a sibling's ack can still
-                        // carry the shard.)
-                        self.telemetry.note_failed(f.shard);
-                    }
-                    f.result = Some(if self.allow_partial && !f.pinned {
-                        // Partial tolerance: the merge proceeds without
-                        // this shard; the hole is recorded, never cached
-                        // as truth (the deployment layer forbids the
-                        // combination with a client cache).
-                        Landing::Skipped
-                    } else {
-                        Landing::Resp(f.outcome.clone())
-                    });
-                    continue;
-                }
-                if !f.pinned {
-                    f.rotation = self.rotation(f.shard, f.hash);
-                }
-                f.pos = 0;
-                self.record_retry(f.shard, f.rotation[0]);
-                backoff_round = backoff_round.max(f.round);
-                f.scheduled = true;
+            Some((_, Landing::Exhausted(resp))) => {
+                self.telemetry.note_failed(0);
+                (resp, 0)
             }
-            if !unresolved {
-                return;
-            }
-            if backoff_round > 0 {
-                self.retry.sleep(backoff_round);
-            }
-            for f in flights.iter_mut() {
-                if f.scheduled {
-                    f.scheduled = false;
-                    self.issue(f);
-                }
-            }
+            None => unreachable!("one flight in, one landing out"),
         }
     }
 
     /// One scatter round: sends `subs[i]` (when `Some`) to shard `i`
-    /// split-phase, meters every exchange, counts pruned slots, and
-    /// returns the decoded responses in shard order.
+    /// split-phase, counts pruned slots, and returns the responses in
+    /// shard order.
     ///
     /// **Partial-scatter recovery.** Each slot fails and recovers
     /// *individually*: a failed shard is re-asked (failing over across
@@ -854,62 +554,70 @@ impl ShardRouter {
     /// as-is, never re-fetched. A slot that exhausts its budget yields a
     /// typed [`Response::Unavailable`] (or, under
     /// [`ShardRouter::with_allow_partial`], drops out of the merge) and
-    /// its abandonment is tallied on that shard's meter (surfacing in
-    /// [`FleetSnapshot::failed_shards`]).
-    fn round(&self, subs: &[Option<Request>]) -> Vec<Option<Response>> {
-        debug_assert_eq!(subs.len(), self.shards.len());
+    /// the shard is recorded in [`FleetSnapshot::failed_shards`]. The
+    /// first typed failure in shard order fails the round.
+    fn round(&self, subs: &[Option<Request>]) -> Result<Vec<Option<Response>>, Response> {
+        debug_assert_eq!(subs.len(), self.edges.len());
         let mut flights: Vec<Flight> = Vec::with_capacity(subs.len());
         for (i, sub) in subs.iter().enumerate() {
             match sub {
-                Some(req) => {
-                    let encoded = self.encode_sub(i, req);
-                    let hash = spread_hash(&encoded);
-                    let rotation = self.rotation(i, hash);
-                    flights.push(Flight::rotating(i, req, encoded, hash, rotation));
-                }
+                Some(req) => flights.push(self.edges[i].flight(i, req)),
                 None => {
                     self.telemetry.pruned.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-        self.execute(&mut flights);
-        let mut out: Vec<Option<Response>> = subs.iter().map(|_| None).collect();
-        for f in flights {
-            if let Some(Landing::Resp(resp)) = f.result {
-                out[f.shard] = Some(resp);
-            }
+        let mut out: Vec<Option<Response>> = vec![None; subs.len()];
+        for (shard, landing) in Edge::drive(flights) {
+            out[shard] = match landing {
+                Landing::Served(resp, _) => Some(resp),
+                Landing::Exhausted(resp) => {
+                    // The whole replica set is exhausted: the shard
+                    // failed to serve this read. Under partial tolerance
+                    // the merge proceeds without it; the hole is
+                    // recorded, never cached as truth (the deployment
+                    // layer forbids the combination with a client cache).
+                    self.telemetry.note_failed(shard);
+                    (!self.allow_partial).then_some(resp)
+                }
+            };
         }
-        out
+        let failed = |r: &Response| {
+            matches!(
+                r,
+                Response::Refused | Response::Malformed | Response::Unavailable
+            )
+        };
+        match out.iter().flatten().find(|r| failed(r)) {
+            Some(failure) => Err(failure.clone()),
+            None => Ok(out),
+        }
     }
 
     /// One update round: broadcasts `subs[i]` to **every** replica of
     /// shard `i` (same tagged bytes, so the dedup envelope collapses
-    /// duplicate deliveries), each replica retrying *in place* — an
-    /// update never fails over, every replica must receive it. Returns
-    /// the per-replica responses in shard order.
+    /// duplicate deliveries). Returns the per-replica responses in shard
+    /// order; a replica that exhausted its budget contributes its typed
+    /// failure.
     fn update_round(&self, subs: &[Request]) -> Vec<Vec<Response>> {
-        debug_assert_eq!(subs.len(), self.shards.len());
-        let mut flights: Vec<Flight> = Vec::new();
-        for (i, req) in subs.iter().enumerate() {
-            let encoded = self.encode_sub(i, req);
-            for j in 0..self.shards[i].replicas.len() {
-                flights.push(Flight::pinned(i, req, encoded.clone(), j));
-            }
-        }
-        self.execute(&mut flights);
-        let mut out: Vec<Vec<Response>> = self.shards.iter().map(|_| Vec::new()).collect();
-        for f in flights {
-            match f.result.expect("update flights always resolve") {
-                Landing::Resp(resp) => out[f.shard].push(resp),
-                Landing::Skipped => unreachable!("updates are never partial"),
-            }
+        debug_assert_eq!(subs.len(), self.edges.len());
+        let flights = subs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, req)| self.edges[i].broadcast(i, req))
+            .collect();
+        let mut out: Vec<Vec<Response>> = vec![Vec::new(); subs.len()];
+        for (shard, landing) in Edge::drive(flights) {
+            out[shard].push(match landing {
+                Landing::Served(resp, _) | Landing::Exhausted(resp) => resp,
+            });
         }
         out
     }
 
     /// Clones `req` to every shard whose bounds satisfy `reach`.
     fn prune(&self, req: &Request, reach: impl Fn(&Rect) -> bool) -> Vec<Option<Request>> {
-        self.shards
+        self.edges
             .iter()
             .map(|s| match s.meta.bounds() {
                 Some(b) if reach(&b) => Some(req.clone()),
@@ -920,7 +628,7 @@ impl ShardRouter {
 
     /// Probe indices each shard can answer, under `reach(bounds, probe)`.
     fn pick_indices<T>(&self, probes: &[T], reach: impl Fn(&Rect, &T) -> bool) -> Vec<Vec<usize>> {
-        self.shards
+        self.edges
             .iter()
             .map(|s| match s.meta.bounds() {
                 Some(b) => (0..probes.len())
@@ -931,26 +639,25 @@ impl ShardRouter {
             .collect()
     }
 
-    fn scatter_gather(&self, req: &Request) -> Response {
-        match req {
-            Request::Window(w) => merge_objects(self.round(&self.prune(req, |b| b.intersects(w)))),
+    /// Answers a request over the whole fleet. Any shard's typed failure
+    /// (`Refused`, `Malformed`, `Unavailable`) fails the merge.
+    fn scatter_gather(&self, req: &Request) -> Result<Response, Response> {
+        Ok(match req {
+            Request::Window(w) => merge_objects(self.round(&self.prune(req, |b| b.intersects(w)))?),
             Request::EpsRange { q, eps } => {
                 let reach = q.expand(*eps);
-                merge_objects(self.round(&self.prune(req, |b| b.intersects(&reach))))
+                merge_objects(self.round(&self.prune(req, |b| b.intersects(&reach)))?)
             }
             Request::Count(w) => {
                 let mut total = 0u64;
                 for resp in self
-                    .round(&self.prune(req, |b| b.intersects(w)))
+                    .round(&self.prune(req, |b| b.intersects(w)))?
                     .into_iter()
                     .flatten()
                 {
                     match resp {
                         Response::Count(c) => total += c,
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Count, got {other:?}"),
+                        other => mismatch("Count", &other),
                     }
                 }
                 Response::Count(total)
@@ -965,7 +672,7 @@ impl ShardRouter {
                     })
                     .collect();
                 let mut totals = vec![0u64; windows.len()];
-                for (shard, resp) in self.round(&subs).into_iter().enumerate() {
+                for (shard, resp) in self.round(&subs)?.into_iter().enumerate() {
                     match resp {
                         None => {}
                         Some(Response::Counts(counts)) => {
@@ -974,17 +681,12 @@ impl ShardRouter {
                                 totals[i] += c;
                             }
                         }
-                        Some(
-                            e @ (Response::Refused | Response::Malformed | Response::Unavailable),
-                        ) => return e,
-                        Some(other) => {
-                            panic!("protocol mismatch: expected Counts, got {other:?}")
-                        }
+                        Some(other) => mismatch("Counts", &other),
                     }
                 }
                 Response::Counts(totals)
             }
-            Request::AvgArea(w) => self.avg_area(w),
+            Request::AvgArea(w) => self.avg_area(w)?,
             Request::BucketEpsRange { probes, eps } => {
                 let picks = self.pick_indices(probes, |b, p| b.intersects(&p.mbr.expand(*eps)));
                 let subs: Vec<Option<Request>> = picks
@@ -997,7 +699,7 @@ impl ShardRouter {
                     })
                     .collect();
                 let mut merged: Vec<Vec<SpatialObject>> = vec![Vec::new(); probes.len()];
-                for (shard, resp) in self.round(&subs).into_iter().enumerate() {
+                for (shard, resp) in self.round(&subs)?.into_iter().enumerate() {
                     match resp {
                         None => {}
                         Some(Response::Buckets(buckets)) => {
@@ -1006,12 +708,7 @@ impl ShardRouter {
                                 merged[i].extend(bucket);
                             }
                         }
-                        Some(
-                            e @ (Response::Refused | Response::Malformed | Response::Unavailable),
-                        ) => return e,
-                        Some(other) => {
-                            panic!("protocol mismatch: expected Buckets, got {other:?}")
-                        }
+                        Some(other) => mismatch("Buckets", &other),
                     }
                 }
                 for bucket in &mut merged {
@@ -1024,15 +721,12 @@ impl ShardRouter {
                 // concatenation of every shard's published level, in shard
                 // order. Never pruned — index structure is global.
                 let subs: Vec<Option<Request>> =
-                    self.shards.iter().map(|_| Some(req.clone())).collect();
+                    self.edges.iter().map(|_| Some(req.clone())).collect();
                 let mut mbrs = Vec::new();
-                for resp in self.round(&subs).into_iter().flatten() {
+                for resp in self.round(&subs)?.into_iter().flatten() {
                     match resp {
                         Response::Rects(r) => mbrs.extend(r),
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Rects, got {other:?}"),
+                        other => mismatch("Rects", &other),
                     }
                 }
                 Response::Rects(mbrs)
@@ -1041,7 +735,7 @@ impl ShardRouter {
                 // Payload trimmed per shard, but every shard is contacted
                 // so a non-cooperative policy refusal propagates.
                 let subs: Vec<Option<Request>> = self
-                    .shards
+                    .edges
                     .iter()
                     .map(|s| {
                         let kept: Vec<Rect> = match s.meta.bounds() {
@@ -1058,12 +752,12 @@ impl ShardRouter {
                         })
                     })
                     .collect();
-                merge_objects(self.round(&subs))
+                merge_objects(self.round(&subs)?)
             }
             Request::ApplyUpdates(batch) => self.apply_updates(batch),
             Request::CoopJoinPush { objects, eps } => {
                 let subs: Vec<Option<Request>> = self
-                    .shards
+                    .edges
                     .iter()
                     .map(|s| {
                         let kept: Vec<SpatialObject> = match s.meta.bounds() {
@@ -1082,24 +776,17 @@ impl ShardRouter {
                     .collect();
                 let mut seen = HashSet::new();
                 let mut pairs = Vec::new();
-                for resp in self.round(&subs).into_iter().flatten() {
+                for resp in self.round(&subs)?.into_iter().flatten() {
                     match resp {
                         Response::Pairs(p) => {
-                            for pair in p {
-                                if seen.insert(pair) {
-                                    pairs.push(pair);
-                                }
-                            }
+                            pairs.extend(p.into_iter().filter(|&x| seen.insert(x)))
                         }
-                        e @ (Response::Refused | Response::Malformed | Response::Unavailable) => {
-                            return e
-                        }
-                        other => panic!("protocol mismatch: expected Pairs, got {other:?}"),
+                        other => mismatch("Pairs", &other),
                     }
                 }
                 Response::Pairs(pairs)
             }
-        }
+        })
     }
 
     /// Scattered `ApplyUpdates`: each insert/move goes to the shard whose
@@ -1112,17 +799,17 @@ impl ShardRouter {
     /// fleet generation stays injective in the batch count. The merged
     /// `Ack` carries that sum.
     fn apply_updates(&self, batch: &[Update]) -> Response {
-        let cells: Option<Vec<Rect>> = self.shards.iter().map(|s| s.meta.cell()).collect();
+        let cells: Option<Vec<Rect>> = self.edges.iter().map(|s| s.meta.cell()).collect();
         let Some(cells) = cells else {
             // No declared partition — the router cannot pick owners.
             return Response::Refused;
         };
-        let mut subs: Vec<Vec<Update>> = vec![Vec::new(); self.shards.len()];
+        let mut subs: Vec<Vec<Update>> = vec![Vec::new(); self.edges.len()];
         for u in batch {
             match u {
                 Update::Insert(o) => {
                     let owner = owner_of(&cells, &o.mbr.center());
-                    self.shards[owner].meta.grow_bounds(&o.mbr);
+                    self.edges[owner].meta.grow_bounds(&o.mbr);
                     for (i, sub) in subs.iter_mut().enumerate() {
                         sub.push(if i == owner {
                             Update::Insert(*o)
@@ -1138,7 +825,7 @@ impl ShardRouter {
                 }
                 Update::Move { id, to } => {
                     let owner = owner_of(&cells, &to.center());
-                    self.shards[owner].meta.grow_bounds(to);
+                    self.edges[owner].meta.grow_bounds(to);
                     for (i, sub) in subs.iter_mut().enumerate() {
                         sub.push(if i == owner {
                             Update::Move { id: *id, to: *to }
@@ -1173,7 +860,7 @@ impl ShardRouter {
             }
             match acked {
                 Some(generation) => {
-                    self.shards[i].meta.note_generation(generation);
+                    self.edges[i].meta.note_generation(generation);
                     sum += generation;
                 }
                 None => {
@@ -1189,17 +876,14 @@ impl ShardRouter {
     /// count. An unweighted mean of shard means would be wrong whenever
     /// shards match different numbers of objects; the weights come from a
     /// COUNT round, and shards counting zero skip the area round entirely.
-    fn avg_area(&self, w: &Rect) -> Response {
+    fn avg_area(&self, w: &Rect) -> Result<Response, Response> {
         let count_subs = self.prune(&Request::Count(*w), |b| b.intersects(w));
-        let mut counts = vec![0u64; self.shards.len()];
-        for (i, resp) in self.round(&count_subs).into_iter().enumerate() {
+        let mut counts = vec![0u64; self.edges.len()];
+        for (i, resp) in self.round(&count_subs)?.into_iter().enumerate() {
             match resp {
                 None => {}
                 Some(Response::Count(c)) => counts[i] = c,
-                Some(e @ (Response::Refused | Response::Malformed | Response::Unavailable)) => {
-                    return e
-                }
-                Some(other) => panic!("protocol mismatch: expected Count, got {other:?}"),
+                Some(other) => mismatch("Count", &other),
             }
         }
         let area_subs: Vec<Option<Request>> = counts
@@ -1208,132 +892,18 @@ impl ShardRouter {
             .collect();
         let total: u64 = counts.iter().sum();
         let mut weighted = 0.0f64;
-        for (i, resp) in self.round(&area_subs).into_iter().enumerate() {
+        for (i, resp) in self.round(&area_subs)?.into_iter().enumerate() {
             match resp {
                 None => {}
                 Some(Response::Area(a)) => weighted += a * counts[i] as f64,
-                Some(e @ (Response::Refused | Response::Malformed | Response::Unavailable)) => {
-                    return e
-                }
-                Some(other) => panic!("protocol mismatch: expected Area, got {other:?}"),
+                Some(other) => mismatch("Area", &other),
             }
         }
-        Response::Area(if total == 0 {
+        Ok(Response::Area(if total == 0 {
             0.0
         } else {
             weighted / total as f64
-        })
-    }
-}
-
-/// How a resolved flight lands in its round's result set.
-enum Landing {
-    /// A decoded response (success or, on exhaustion, the typed failure
-    /// of the last completed attempt).
-    Resp(Response),
-    /// Dropped from the merge under partial tolerance.
-    Skipped,
-}
-
-/// One in-progress sub-request: a (shard, encoded bytes) pair working
-/// its way through a replica rotation and a retry budget.
-struct Flight<'a> {
-    shard: usize,
-    req: &'a Request,
-    encoded: Bytes,
-    up_len: u64,
-    /// Grid context of the *sub-request* this shard was sent — the same
-    /// grid the shard derives server-side for quantized v2 frames.
-    ctx: Option<QuantCtx>,
-    /// Request-hash spread key; re-picks the rotation on retry rounds.
-    hash: u64,
-    /// Replica try order for the current round.
-    rotation: Vec<usize>,
-    pos: usize,
-    round: u32,
-    /// Pinned flights (update broadcast) retry one replica in place and
-    /// never fail over.
-    pinned: bool,
-    /// The first-picked replica — abandonment is attributed to it.
-    primary: usize,
-    outcome: Response,
-    inflight: Option<(usize, Box<dyn FnOnce() -> Bytes + Send + 'a>)>,
-    scheduled: bool,
-    result: Option<Landing>,
-}
-
-impl<'a> Flight<'a> {
-    fn rotating(
-        shard: usize,
-        req: &'a Request,
-        encoded: Bytes,
-        hash: u64,
-        rotation: Vec<usize>,
-    ) -> Self {
-        let primary = rotation[0];
-        Flight {
-            shard,
-            up_len: encoded.len() as u64,
-            ctx: QuantCtx::for_request(req),
-            req,
-            encoded,
-            hash,
-            rotation,
-            pos: 0,
-            round: 0,
-            pinned: false,
-            primary,
-            outcome: Response::Unavailable,
-            inflight: None,
-            scheduled: false,
-            result: None,
-        }
-    }
-
-    fn pinned(shard: usize, req: &'a Request, encoded: Bytes, replica: usize) -> Self {
-        Flight {
-            shard,
-            up_len: encoded.len() as u64,
-            ctx: QuantCtx::for_request(req),
-            req,
-            encoded,
-            hash: 0,
-            rotation: vec![replica],
-            pos: 0,
-            round: 0,
-            pinned: true,
-            primary: replica,
-            outcome: Response::Unavailable,
-            inflight: None,
-            scheduled: false,
-            result: None,
-        }
-    }
-}
-
-impl RawExchange for ShardRouter {
-    fn exchange(&self, request: Bytes) -> Bytes {
-        if self.shards.len() == 1 && self.shards[0].replicas.len() == 1 {
-            return self.pass_through(request);
-        }
-        let req = match decode_request(request) {
-            Ok(req) => req,
-            // A garbled frame from above gets the typed error reply a
-            // real server would send — routers never panic a shared path.
-            Err(_) => return crate::codec::malformed_frame(),
-        };
-        let resp = self.scatter_gather(&req);
-        let mut buf = BytesMut::new();
-        // Merged responses are re-encoded, so the per-shard stamps are
-        // gone; re-stamp with the fleet generation observed while
-        // answering. Acks carry their generation in the payload and are
-        // never stamped; a frozen fleet sums to 0 and stays stamp-free
-        // (bit-identical to the pre-generation format).
-        if !matches!(resp, Response::Ack { .. }) {
-            stamp_generation(self.fleet_generation(), &mut buf);
-        }
-        encode_response_into(&resp, &mut buf);
-        buf.freeze()
+        }))
     }
 }
 
@@ -1373,12 +943,17 @@ fn merge_objects(responses: Vec<Option<Response>>) -> Response {
     for resp in responses.into_iter().flatten() {
         match resp {
             Response::Objects(v) => out.extend(v),
-            e @ (Response::Refused | Response::Malformed | Response::Unavailable) => return e,
-            other => panic!("protocol mismatch: expected Objects, got {other:?}"),
+            other => mismatch("Objects", &other),
         }
     }
     dedup_by_id(&mut out);
     Response::Objects(out)
+}
+
+/// A shard answered a different kind than was asked — a protocol bug,
+/// never a network fault (those arrive as typed failures).
+fn mismatch(expected: &str, got: &Response) -> ! {
+    panic!("protocol mismatch: expected {expected}, got {got:?}")
 }
 
 #[cfg(test)]
@@ -1649,8 +1224,11 @@ mod tests {
         ShardRouter::new(Vec::new(), PacketModel::default());
     }
 
-    use crate::codec::{encode_request, encode_response};
-    use std::sync::Mutex;
+    use crate::codec::{
+        decode_request, decode_response_gen, encode_request, encode_response, encode_response_into,
+        stamp_generation,
+    };
+    use bytes::{Bytes, BytesMut};
 
     /// A live shard server double: upsert-by-id update semantics, a
     /// generation counter bumped per batch, and query replies stamped
@@ -1743,7 +1321,7 @@ mod tests {
     }
 
     fn roundtrip(router: &ShardRouter, req: &Request) -> (Response, u64) {
-        decode_response_gen(router.exchange(encode_request(req))).expect("malformed reply")
+        router.call(req)
     }
 
     #[test]
@@ -1824,13 +1402,11 @@ mod tests {
     fn frozen_fleet_replies_stay_unstamped() {
         let router = two_shard_router();
         let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
-        let raw = router.exchange(encode_request(&Request::Window(all)));
+        let (resp, generation) = roundtrip(&router, &Request::Window(all));
+        assert_eq!(resp.into_objects().len(), 20);
         assert_eq!(
-            raw,
-            encode_response(&Response::Objects(
-                decode_response_gen(raw.clone()).unwrap().0.into_objects()
-            )),
-            "generation 0 is encoded without a stamp — bit-identical"
+            generation, 0,
+            "a frozen fleet answers at generation 0 — the unstamped format"
         );
     }
 
@@ -1860,15 +1436,16 @@ mod tests {
         let (ack, _) = roundtrip(&router, &Request::ApplyUpdates(vec![Update::Delete(0)]));
         assert_eq!(ack, Response::Ack { generation: 1 });
         assert_eq!(router.telemetry().generations(), vec![1]);
-        // Pass-through stays byte-transparent: the reply (stamp included)
+        // The single flight stays transparent: the reply (stamp included)
         // is exactly what the shard itself produces.
         let w = Rect::from_coords(-1.0, -1.0, 10.0, 1.0);
-        let via_router = router.exchange(encode_request(&Request::Window(w)));
-        let direct = shard.exchange(encode_request(&Request::Window(w)));
-        assert_eq!(via_router, direct);
-        let (resp, stamp) = decode_response_gen(via_router).unwrap();
+        let via_router = roundtrip(&router, &Request::Window(w));
+        let direct = decode_response_gen(shard.exchange(encode_request(&Request::Window(w))));
+        assert_eq!(Ok(via_router.clone()), direct);
+        let (resp, stamp) = via_router;
         assert_eq!(stamp, 1);
         assert_eq!(resp.into_objects().len(), 4);
+        assert_eq!(router.telemetry().snapshot().pruned, 0, "never pruned");
     }
 
     #[test]
@@ -2169,10 +1746,8 @@ mod tests {
             PacketModel::default(),
         )
         .with_retry(RetryPolicy::attempts(2));
-        let raw = router.exchange(encode_request(&Request::Count(Rect::from_coords(
-            0.0, -1.0, 4.0, 1.0,
-        ))));
-        assert!(crate::codec::is_unavailable(&raw));
+        let count = Request::Count(Rect::from_coords(0.0, -1.0, 4.0, 1.0));
+        assert_eq!(roundtrip(&router, &count), (Response::Unavailable, 0));
         let fleet = router.telemetry().snapshot();
         assert_eq!(fleet.failed_shards, vec![0]);
         assert_eq!(fleet.per_shard[0].abandoned, 1);
@@ -2181,15 +1756,47 @@ mod tests {
 
     #[test]
     fn garbled_frame_to_the_router_answers_typed_malformed() {
-        for router in [two_shard_router(), live_fleet()] {
-            let raw = router.exchange(Bytes::copy_from_slice(&[0xEE, 0x01, 0x02]));
-            assert_eq!(raw, crate::codec::malformed_frame(), "routers never panic");
+        /// Garbles every reply on its way back from the shard.
+        struct Garbling(Box<dyn RawExchange>);
+        impl RawExchange for Garbling {
+            fn exchange(&self, raw: Bytes) -> Bytes {
+                crate::codec::garble_frame(&self.0.exchange(raw))
+            }
+        }
+        let left = ten_points();
+        let right: Vec<SpatialObject> = (0..10)
+            .map(|i| SpatialObject::point(100 + i, 100.0 + i as f64, 0.0))
+            .collect();
+        let garbling = |objects: &[SpatialObject]| {
+            ShardEndpoint::new(
+                Rect::union_of(objects.iter().map(|o| o.mbr)),
+                Box::new(Garbling(scan_carrier(objects))),
+            )
+        };
+        // A fleet of one and a scatter over two: garbage on a shard edge
+        // surfaces typed, never as a panic or a wrong value.
+        let all = Rect::from_coords(-1.0, -1.0, 200.0, 1.0);
+        for router in [
+            ShardRouter::new(vec![garbling(&left)], PacketModel::default()),
+            ShardRouter::new(
+                vec![garbling(&left), endpoint(right.clone())],
+                PacketModel::default(),
+            ),
+        ] {
+            assert_eq!(
+                roundtrip(&router, &Request::Count(all)).0,
+                Response::Malformed
+            );
+            assert_eq!(
+                roundtrip(&router, &Request::Window(all)).0,
+                Response::Malformed
+            );
         }
     }
 
     // ---- replica sets: spread, failover, breakers, the generation floor ----
 
-    use crate::health::BreakerState;
+    use crate::health::{spread_hash, BreakerState};
     use proptest::prelude::*;
 
     /// The canonical ten-point dataset (ids 0..10 at x ≈ 0..9).

@@ -1,43 +1,40 @@
-//! Synchronous RPC transports with mandatory metering.
+//! Synchronous RPC transports and the device's metered link.
 //!
-//! A [`Link`] is the device's handle to one server. Every `request` call
-//! encodes the message, charges the uplink meter, carries the bytes over a
-//! [`RawExchange`], charges the downlink meter and decodes the reply — so
-//! no byte can cross unmetered, whichever carrier is used:
+//! A [`RawExchange`] is a byte-level carrier: it ships an encoded request
+//! and returns the encoded reply. Two carriers serve the repo:
 //!
 //! * [`InProcExchange`] — calls the server's handler on the calling thread
 //!   (fast path for the thousands of joins an experiment sweep runs);
-//! * [`ChannelServer`] / [`ChannelExchange`] — the server runs on its own
-//!   thread behind a crossbeam channel, modelling the paper's deployment
-//!   of two independent UNIX servers and a WiFi PDA. Integration tests run
-//!   both carriers and assert identical byte counts.
+//! * [`crate::event_loop`] connections — servers multiplexed on a reactor
+//!   thread, one shared reactor for many devices or one per server for
+//!   the paper's deployment of independent servers and a WiFi PDA.
+//!
+//! Carriers sit *below* a physical edge (see `edge.rs`), which frames,
+//! retries, dedups, meters and negotiates every exchange. A [`Link`] is
+//! the device's handle to one server or fleet: it passes [`Request`]
+//! values down a stack of layers — a direct edge, a
+//! [`ShardRouter`] over shard edges, or a
+//! [`CacheLayer`] over either — tracks the
+//! serving generation, and exposes the meters. No byte can cross
+//! unmetered, whichever carrier is used, and no layer above an edge ever
+//! sees a frame.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use crate::codec::{
-    decode_response_gen_ctx, encode_request_versioned, DedupTag, QuantCtx, WireVersion,
-    MAX_WIRE_VERSION,
-};
+use crate::cache::{CacheLayer, CacheView};
+use crate::codec::{wire_form, WireVersion};
+use crate::edge::Edge;
 use crate::meter::LinkMeter;
 use crate::packet::{PacketModel, RetryPolicy};
 use crate::proto::{QueryHandler, Request, Response};
+use crate::router::{ShardRouter, ShardTelemetry};
 
-/// Process-unique sender nonce for the retry-dedup envelope: each link
-/// draws one at construction, so two links never collide in a server's
-/// at-most-once table.
-static LINK_NONCE: AtomicU64 = AtomicU64::new(1);
-
-pub(crate) fn next_link_nonce() -> u64 {
-    LINK_NONCE.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Serves one request frame into `buf` — the decode path shared by every
-/// server-side adapter. Peels the retry-dedup envelope first: a tagged
-/// `ApplyUpdates` delivery goes through
+/// Serves one request frame into `buf` — the one server-side frame
+/// decoder every carrier uses. Peels the retry-dedup envelope first: a
+/// tagged `ApplyUpdates` delivery goes through
 /// [`QueryHandler::handle_tagged_updates`] so stateful servers can make
 /// it at-most-once; an envelope wrapping anything else is garbage and
 /// answers the typed malformed frame. Returns `false` when a typed error
@@ -101,18 +98,20 @@ pub trait RawExchange: Send + Sync {
     }
 }
 
-/// In-process carrier: decodes and handles on the calling thread.
-pub struct InProcExchange<H: QueryHandler> {
+/// In-process carrier: decodes and handles on the calling thread. Takes
+/// unsized handlers too, so deployments can carry an
+/// `InProcExchange<dyn QueryHandler>`.
+pub struct InProcExchange<H: QueryHandler + ?Sized> {
     handler: Arc<H>,
 }
 
-impl<H: QueryHandler> InProcExchange<H> {
+impl<H: QueryHandler + ?Sized> InProcExchange<H> {
     pub fn new(handler: Arc<H>) -> Self {
         InProcExchange { handler }
     }
 }
 
-impl<H: QueryHandler> RawExchange for InProcExchange<H> {
+impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     fn exchange(&self, request: Bytes) -> Bytes {
         // Version negotiation is link control: answered by the transport
         // adapter, never seen by the query handler.
@@ -123,288 +122,122 @@ impl<H: QueryHandler> RawExchange for InProcExchange<H> {
         // the reply buffer (exact-capacity reserve inside the codec), so
         // no intermediate `Response` vectors are materialized. A garbled
         // frame is answered with a typed error, never panicked on — same
-        // contract as the shared server thread.
+        // contract as the shared reactor thread.
         let mut buf = BytesMut::new();
         serve_frame_into(self.handler.as_ref(), request, &mut buf);
         buf.freeze()
     }
 }
 
-/// One in-flight RPC on the channel carrier.
-struct Rpc {
-    request: Bytes,
-    reply: Sender<Bytes>,
+/// What a [`Link`] (or a [`CacheLayer`]) sends its requests through: the
+/// internal `call` seam that replaced byte passing between layers. Every
+/// layer answers a [`Request`] with the decoded [`Response`] and the
+/// serving generation it was stamped with.
+pub(crate) enum Stack {
+    /// One physical edge to one server.
+    Edge(Edge),
+    /// A scatter-gather router over one edge per shard.
+    Fleet(ShardRouter),
+    /// A client cache over a direct edge or a fleet.
+    Cache(Box<CacheLayer>),
 }
 
-/// What flows to a server thread: RPCs from client handles, or the
-/// shutdown sentinel [`ChannelServer::drop`] enqueues so dropping the
-/// server never blocks on handles that are still alive. FIFO ordering
-/// guarantees every RPC enqueued before the sentinel is still served.
-enum ServerMsg {
-    Rpc(Rpc),
-    Shutdown,
-}
-
-/// Client side of the channel carrier.
-pub struct ChannelExchange {
-    tx: Sender<ServerMsg>,
-}
-
-impl RawExchange for ChannelExchange {
-    fn exchange(&self, request: Bytes) -> Bytes {
-        self.begin(request)()
-    }
-
-    fn begin<'a>(&'a self, request: Bytes) -> Box<dyn FnOnce() -> Bytes + Send + 'a> {
-        let (reply_tx, reply_rx) = bounded(1);
-        if self
-            .tx
-            .send(ServerMsg::Rpc(Rpc {
-                request,
-                reply: reply_tx,
-            }))
-            .is_err()
-        {
-            // The server thread is gone. Degrade to the locally
-            // fabricated unavailable frame instead of panicking the
-            // client — a shard dying mid-session must not take the
-            // device down with it.
-            return Box::new(crate::codec::unavailable_frame);
-        }
-        // A recv error here means the server accepted the request but
-        // shut down before replying (it raced the shutdown sentinel):
-        // same degradation as a refused send.
-        Box::new(move || {
-            reply_rx
-                .recv()
-                .unwrap_or_else(|_| crate::codec::unavailable_frame())
-        })
-    }
-}
-
-/// A server running on its own thread, draining RPCs until every client
-/// handle is dropped — or until the server itself is dropped, whichever
-/// comes first (drop enqueues a shutdown sentinel, so it never deadlocks
-/// waiting on handles that outlive it).
-pub struct ChannelServer {
-    thread: Option<std::thread::JoinHandle<u64>>,
-    /// The server's own sender, used only to enqueue the shutdown
-    /// sentinel from `drop`. Held here (not by handles) so `join` can
-    /// release it and restore the legacy wait-for-all-handles semantics.
-    ctrl: Option<Sender<ServerMsg>>,
-}
-
-/// Keeps the server thread alive; dropping all handles shuts it down.
-pub struct ServerHandle {
-    tx: Sender<ServerMsg>,
-}
-
-impl ChannelServer {
-    /// Spawns the server thread. Returns the server (join on drop) and a
-    /// handle from which any number of [`ChannelExchange`] carriers can be
-    /// cloned.
-    pub fn spawn<H: QueryHandler + 'static>(handler: Arc<H>, name: &str) -> (Self, ServerHandle) {
-        let (tx, rx): (Sender<ServerMsg>, Receiver<ServerMsg>) = unbounded();
-        let thread = std::thread::Builder::new()
-            .name(format!("asj-server-{name}"))
-            .spawn(move || {
-                let mut served = 0u64;
-                // One encode buffer for the life of the server thread:
-                // each request clears it (keeping the allocation) and the
-                // handler encodes its answer straight in, so steady-state
-                // serving performs no per-request buffer growth — the
-                // only per-request allocation left is the reply message
-                // itself.
-                let mut buf = BytesMut::with_capacity(4096);
-                while let Ok(msg) = rx.recv() {
-                    let rpc = match msg {
-                        ServerMsg::Rpc(rpc) => rpc,
-                        ServerMsg::Shutdown => break,
-                    };
-                    if let Some(accept) = crate::codec::try_answer_hello(&rpc.request) {
-                        // Handshake frames are link control: answered here,
-                        // never counted as served queries.
-                        let _ = rpc.reply.send(accept);
-                        continue;
-                    }
-                    buf.clear();
-                    // This thread is shared by every connected device:
-                    // one garbled frame gets a typed error reply (and is
-                    // not counted as served) and the loop keeps serving —
-                    // it must never panic the thread.
-                    if serve_frame_into(handler.as_ref(), rpc.request, &mut buf) {
-                        served += 1;
-                    }
-                    // A dropped reply channel just means the client gave up.
-                    // With the real `bytes` crate this would be
-                    // `buf.split().freeze()` (zero-copy hand-off that
-                    // recycles the allocation); the shim's `Bytes` is
-                    // `Arc<[u8]>`-backed, so one copy into the reply is
-                    // the closest equivalent — the same copy `freeze()`
-                    // itself performs under the shim.
-                    let _ = rpc.reply.send(Bytes::copy_from_slice(&buf));
-                }
-                served
-            })
-            .expect("failed to spawn server thread");
-        (
-            ChannelServer {
-                thread: Some(thread),
-                ctrl: Some(tx.clone()),
-            },
-            ServerHandle { tx },
-        )
-    }
-
-    /// Waits for the server to drain and stop (all handles dropped);
-    /// returns the number of requests served.
-    pub fn join(mut self) -> u64 {
-        // Release the control sender first: the thread's `recv` loop must
-        // be able to disconnect once every client handle is gone.
-        self.ctrl = None;
-        self.thread
-            .take()
-            .expect("already joined")
-            .join()
-            .expect("server thread panicked")
-    }
-}
-
-impl Drop for ChannelServer {
-    fn drop(&mut self) {
-        if let Some(t) = self.thread.take() {
-            // Enqueue the shutdown sentinel behind any in-flight RPCs
-            // (FIFO: they are all still served), then join. Without the
-            // sentinel this join deadlocked whenever a `ServerHandle` or
-            // `ChannelExchange` outlived the server — their senders kept
-            // the channel connected forever.
-            if let Some(ctrl) = self.ctrl.take() {
-                let _ = ctrl.send(ServerMsg::Shutdown);
-            }
-            let _ = t.join();
+impl Stack {
+    /// Answers `req`. Above a bare edge, `req` must already be in wire
+    /// form ([`wire_form`]): cache containment and router pruning must
+    /// see exactly the rectangles a server decodes.
+    pub(crate) fn call(&self, req: &Request) -> (Response, u64) {
+        match self {
+            Stack::Edge(edge) => edge.call(req),
+            Stack::Fleet(router) => router.call(req),
+            Stack::Cache(layer) => layer.call(req),
         }
     }
-}
 
-impl ServerHandle {
-    /// Opens a new connection to the server.
-    pub fn connect(&self) -> ChannelExchange {
-        ChannelExchange {
-            tx: self.tx.clone(),
+    /// The meter every physical exchange below is charged to (a fleet's
+    /// aggregate over all shard edges).
+    pub(crate) fn meter(&self) -> &Arc<LinkMeter> {
+        match self {
+            Stack::Edge(edge) => edge.meter(),
+            Stack::Fleet(router) => router.aggregate_meter(),
+            Stack::Cache(layer) => layer.meter(),
+        }
+    }
+
+    pub(crate) fn fleet(&self) -> Option<&Arc<ShardTelemetry>> {
+        match self {
+            Stack::Edge(_) => None,
+            Stack::Fleet(router) => Some(router.telemetry()),
+            Stack::Cache(layer) => layer.fleet(),
+        }
+    }
+
+    pub(crate) fn packet(&self) -> PacketModel {
+        match self {
+            Stack::Edge(edge) => edge.packet(),
+            Stack::Fleet(router) => router.packet(),
+            Stack::Cache(layer) => layer.packet(),
+        }
+    }
+
+    /// Adopts `retry` on every physical edge below.
+    pub(crate) fn set_retry(&mut self, retry: RetryPolicy) {
+        match self {
+            Stack::Edge(edge) => edge.retry = retry,
+            Stack::Fleet(router) => router.set_retry(retry),
+            Stack::Cache(layer) => layer.set_retry(retry),
+        }
+    }
+
+    /// Negotiates the wire version of every physical edge below.
+    pub(crate) fn negotiate(&mut self) {
+        match self {
+            Stack::Edge(edge) => edge.negotiate(),
+            Stack::Fleet(router) => router.negotiate_v2(),
+            Stack::Cache(layer) => layer.negotiate_v2(),
         }
     }
 }
 
 /// The device's metered handle to one server (or one fleet of shard
-/// servers behind a [`ShardRouter`](crate::router::ShardRouter)).
+/// servers behind a [`ShardRouter`]), optionally through a client cache.
+/// The link itself only tracks the serving generation and exposes the
+/// meters: the physical edges below frame, retry and charge every byte.
 pub struct Link {
-    carrier: Box<dyn RawExchange>,
-    meter: Arc<LinkMeter>,
-    packet: PacketModel,
+    stack: Stack,
     /// Per-byte tariff of this link (`bR` or `bS`).
     tariff: f64,
-    /// `true` when the carrier meters physical traffic itself (a shard
-    /// router records every per-shard exchange; a cache layer records
-    /// only the exchanges that miss): `request` must not re-record the
-    /// logical message on top.
-    premetered: bool,
-    /// Per-shard accounting when the carrier is (or fronts) a shard
-    /// router.
-    fleet: Option<Arc<crate::router::ShardTelemetry>>,
-    /// Cache accounting when the carrier is a cache layer.
-    cache: Option<crate::cache::CacheView>,
     /// Highest serving generation observed on this link (from response
     /// stamps and `Ack`s). 0 until the server goes live.
     last_generation: AtomicU64,
-    /// Negotiated wire version of this link's own encode/decode. Stays
-    /// `V1` on premetered carriers (a router or cache negotiates its own
-    /// physical edges itself).
-    wire: WireVersion,
-    /// Retry/backoff discipline of this link's own physical exchanges.
-    /// Off by default (one attempt, byte-identical traffic); ignored on
-    /// premetered carriers, whose layers retry their own physical edges.
-    retry: RetryPolicy,
-    /// Sender nonce of the retry-dedup envelope (process-unique).
-    dedup_nonce: u64,
-    /// Batch sequence within this sender; one per `ApplyUpdates` request,
-    /// identical across its retries.
-    dedup_seq: AtomicU64,
-}
-
-/// Runs the `HELLO`/`ACCEPT` handshake over a carrier and returns the
-/// version the link will speak. A peer that rejects or garbles the probe
-/// (every v1-only server) yields [`WireVersion::V1`] — negotiation can
-/// only fall back, never fail. Call sites gate on `NetConfig::wire_v2`:
-/// with the flag off no probe is ever sent. The 4 handshake bytes are
-/// link control and are not metered, like TCP's own connection setup.
-pub fn negotiate_wire(carrier: &dyn RawExchange) -> WireVersion {
-    let reply = carrier.exchange(crate::codec::encode_hello(MAX_WIRE_VERSION));
-    match crate::codec::decode_accept(&reply) {
-        Some(v) if v >= 2 => WireVersion::V2,
-        _ => WireVersion::V1,
-    }
 }
 
 impl Link {
-    /// Wraps a carrier with a fresh meter.
-    pub fn new(carrier: Box<dyn RawExchange>, packet: PacketModel, tariff: f64) -> Self {
+    fn over(stack: Stack, tariff: f64) -> Self {
         Link {
-            carrier,
-            meter: Arc::new(LinkMeter::new()),
-            packet,
+            stack,
             tariff,
-            premetered: false,
-            fleet: None,
-            cache: None,
             last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
         }
     }
 
-    /// A link to a shard fleet: the router records every physical
-    /// per-shard exchange into its aggregate meter (which becomes this
-    /// link's meter), so the link itself records nothing — the meter shows
-    /// the scatter traffic that actually crossed the wire, not the logical
-    /// request stream.
-    pub fn routed(router: crate::router::ShardRouter, tariff: f64) -> Self {
-        Link {
-            meter: Arc::clone(router.aggregate_meter()),
-            fleet: Some(Arc::clone(router.telemetry())),
-            packet: router.packet(),
-            carrier: Box::new(router),
-            tariff,
-            premetered: true,
-            cache: None,
-            last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
-        }
+    /// A link over one carrier, with a fresh meter.
+    pub fn new(carrier: Box<dyn RawExchange>, packet: PacketModel, tariff: f64) -> Self {
+        Link::over(Stack::Edge(Edge::direct(carrier, packet)), tariff)
+    }
+
+    /// A link to a shard fleet: its meter is the router's aggregate over
+    /// every physical shard exchange — the scatter traffic that actually
+    /// crossed the wire, not the logical request stream.
+    pub fn routed(router: ShardRouter, tariff: f64) -> Self {
+        Link::over(Stack::Fleet(router), tariff)
     }
 
     /// A link through a client-side cache (which may itself front a shard
-    /// fleet): the layer meters only the exchanges that actually reach
-    /// the server — a cache hit is not a message — so the link records
-    /// nothing on top, exactly like a routed link.
-    pub fn cached(layer: crate::cache::CacheLayer, tariff: f64) -> Self {
-        Link {
-            meter: Arc::clone(layer.meter()),
-            fleet: layer.fleet().cloned(),
-            cache: Some(layer.view()),
-            packet: layer.packet(),
-            carrier: Box::new(layer),
-            tariff,
-            premetered: true,
-            last_generation: AtomicU64::new(0),
-            wire: WireVersion::V1,
-            retry: RetryPolicy::default(),
-            dedup_nonce: next_link_nonce(),
-            dedup_seq: AtomicU64::new(0),
-        }
+    /// fleet): only the exchanges that actually reach a server are
+    /// metered — a cache hit is not a message.
+    pub fn cached(layer: CacheLayer, tariff: f64) -> Self {
+        Link::over(Stack::Cache(Box::new(layer)), tariff)
     }
 
     /// In-process link to a handler.
@@ -416,108 +249,56 @@ impl Link {
         Link::new(Box::new(InProcExchange::new(handler)), packet, tariff)
     }
 
-    /// Adopts a retry/backoff discipline for this link's own physical
-    /// exchanges. With the default (off) policy every request is one
-    /// attempt and the wire traffic is byte-identical to a policy-less
-    /// link. On premetered carriers the policy is ignored here — the
-    /// router/cache layer retries its own physical edges instead.
+    /// Adopts a retry/backoff discipline for every physical edge below.
+    /// With the default (off) policy every request is one attempt and the
+    /// wire traffic is byte-identical to a policy-less link.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+        self.stack.set_retry(retry);
         self
     }
 
-    /// Issues one RPC, metering both directions (unless the carrier is a
-    /// shard router or cache layer, which meters each physical exchange
-    /// itself). Takes the request by reference — framing a request never
-    /// requires surrendering (or cloning) its payload.
+    /// Issues one RPC. Takes the request by reference — framing a request
+    /// never requires surrendering (or cloning) its payload.
     ///
+    /// Every physical exchange is charged by the edge that carries it.
     /// When a [`RetryPolicy`] is enabled, failed attempts — the locally
     /// fabricated unavailable frame, or a reply that crossed the wire but
-    /// does not decode — are re-issued up to the budget with deterministic
-    /// backoff, `retried`/`abandoned` tallied on the meter. `ApplyUpdates`
-    /// retries ride under the at-most-once dedup envelope (the identical
-    /// `(nonce, seq)` tag on every attempt), so a duplicated delivery can
-    /// never double-bump a generation or double-apply a move.
+    /// does not decode — are re-issued up to the budget with
+    /// deterministic backoff, `retried`/`abandoned` tallied on the meter.
+    /// `ApplyUpdates` retries ride under the at-most-once dedup envelope,
+    /// so a duplicated delivery can never double-bump a generation or
+    /// double-apply a move.
     pub fn request(&self, req: &Request) -> Response {
-        let aggregate = req.is_aggregate();
-        let mut encoded = encode_request_versioned(req, self.wire);
-        let retrying = !self.premetered && self.retry.enabled();
-        if retrying && matches!(req, Request::ApplyUpdates(_)) {
-            let tag = DedupTag {
-                nonce: self.dedup_nonce,
-                seq: self.dedup_seq.fetch_add(1, Ordering::Relaxed),
+        let (resp, generation) = match &self.stack {
+            Stack::Edge(edge) => edge.call(req),
+            stack => stack.call(&wire_form(req)),
+        };
+        if resp != Response::Malformed {
+            let observed = match &resp {
+                Response::Ack { generation: acked } => *acked,
+                _ => generation,
             };
-            encoded = crate::codec::wrap_dedup(tag, &encoded);
+            self.last_generation.fetch_max(observed, Ordering::AcqRel);
         }
-        let up_len = encoded.len() as u64;
-        let ctx = QuantCtx::for_request(req);
-        let attempts = if retrying { self.retry.max_attempts } else { 1 };
-        let mut outcome = Response::Unavailable;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.meter.record_retry();
-                self.retry.sleep(attempt);
-            }
-            let raw = self.carrier.exchange(encoded.clone());
-            if crate::codec::is_unavailable(&raw) {
-                // The peer is gone and the carrier fabricated this reply
-                // locally: no byte crossed the wire in either direction,
-                // so the meter charges nothing. (Charging the uplink
-                // *before* the exchange — the old order — left failed
-                // exchanges counting bytes that were never sent.)
-                outcome = Response::Unavailable;
-                continue;
-            }
-            if !self.premetered {
-                self.meter.record_request(req, up_len, &self.packet);
-            }
-            let len = raw.len() as u64;
-            // A reply that crossed the wire but does not decode degrades
-            // to the typed `Malformed` response — both directions are
-            // still charged, because those bytes were real traffic (every
-            // completed attempt is, including superseded ones).
-            let (resp, generation) =
-                decode_response_gen_ctx(raw, ctx.as_ref()).unwrap_or((Response::Malformed, 0));
-            if !self.premetered {
-                self.meter
-                    .record_response(len, resp.object_count(), &self.packet, aggregate);
-            }
-            if resp == Response::Malformed {
-                outcome = Response::Malformed;
-                continue;
-            }
-            match &resp {
-                Response::Ack { generation } => self
-                    .last_generation
-                    .fetch_max(*generation, Ordering::AcqRel),
-                _ => self.last_generation.fetch_max(generation, Ordering::AcqRel),
-            };
-            return resp;
-        }
-        if retrying {
-            self.meter.record_abandon();
-        }
-        outcome
+        resp
     }
 
-    /// Runs the version handshake over this link's own carrier and
-    /// upgrades the link to whatever the peer accepted. Only meaningful
-    /// for links that own their physical edge (not routed/cached ones —
-    /// those layers negotiate their own edges); call sites gate on
-    /// `NetConfig::wire_v2`.
+    /// Runs the version handshake on every physical edge below and
+    /// upgrades each to whatever its peer accepted. Call sites gate on
+    /// `NetConfig::wire_v2`: with the flag off no probe is ever sent.
     pub fn negotiate(mut self) -> Self {
-        debug_assert!(
-            !self.premetered,
-            "premetered carriers negotiate their own physical edges"
-        );
-        self.wire = negotiate_wire(self.carrier.as_ref());
+        self.stack.negotiate();
         self
     }
 
-    /// The wire version this link encodes with (`V1` until a successful
-    /// [`Link::negotiate`]).
+    /// The wire version of a direct link's edge (`V1` until a successful
+    /// [`Link::negotiate`]); `V1` for routed and cached links, whose
+    /// versions are per shard or per cached edge.
     pub fn wire(&self) -> WireVersion {
-        self.wire
+        match &self.stack {
+            Stack::Edge(edge) => edge.wire,
+            _ => WireVersion::V1,
+        }
     }
 
     /// Highest serving generation observed on this link so far — from
@@ -530,24 +311,27 @@ impl Link {
     /// This link's meter (shared; snapshot at will). For a routed link
     /// this is the router's aggregate over all shard exchanges.
     pub fn meter(&self) -> &Arc<LinkMeter> {
-        &self.meter
+        self.stack.meter()
     }
 
     /// Per-shard telemetry when this link fronts a fleet; `None` for a
     /// plain single-server link.
-    pub fn fleet(&self) -> Option<&Arc<crate::router::ShardTelemetry>> {
-        self.fleet.as_ref()
+    pub fn fleet(&self) -> Option<&Arc<ShardTelemetry>> {
+        self.stack.fleet()
     }
 
     /// Cache accounting when this link runs through a client-side cache;
     /// `None` otherwise.
-    pub fn cache(&self) -> Option<&crate::cache::CacheView> {
-        self.cache.as_ref()
+    pub fn cache(&self) -> Option<&CacheView> {
+        match &self.stack {
+            Stack::Cache(layer) => Some(layer.view()),
+            _ => None,
+        }
     }
 
     /// The link's packet model.
     pub fn packet(&self) -> PacketModel {
-        self.packet
+        self.stack.packet()
     }
 
     /// The link's per-byte tariff.
@@ -557,13 +341,14 @@ impl Link {
 
     /// Monetary cost so far: `tariff × total wire bytes`.
     pub fn cost(&self) -> f64 {
-        self.tariff * self.meter.snapshot().total_bytes() as f64
+        self.tariff * self.meter().snapshot().total_bytes() as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event_loop::EventLoop;
     use asj_geom::{Rect, SpatialObject};
 
     /// Toy handler: COUNT returns 7, WINDOW returns two fixed objects.
@@ -606,25 +391,32 @@ mod tests {
         assert_eq!(link.cost(), s.total_bytes() as f64);
     }
 
+    /// One server on its own reactor thread — the threaded deployment's
+    /// carrier.
+    fn own_reactor(name: &str) -> (EventLoop, crate::event_loop::EventEndpoint) {
+        let reactor = EventLoop::spawn(name);
+        let endpoint = reactor.serve(Arc::new(Fixed));
+        (reactor, endpoint)
+    }
+
     #[test]
     fn channel_server_roundtrip_matches_in_process_bytes() {
         let inproc = Link::in_process(Arc::new(Fixed), PacketModel::default(), 1.0);
         inproc.request(&Request::Count(w()));
         inproc.request(&Request::Window(w()));
 
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "test");
-        let remote = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let (reactor, endpoint) = own_reactor("test");
+        let remote = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
         remote.request(&Request::Count(w()));
         remote.request(&Request::Window(w()));
 
         assert_eq!(
-            inproc.meter().snapshot().total_bytes(),
-            remote.meter().snapshot().total_bytes(),
+            inproc.meter().snapshot(),
+            remote.meter().snapshot(),
             "carrier must not change accounting"
         );
         drop(remote);
-        drop(handle);
-        assert_eq!(server.join(), 2);
+        assert_eq!(reactor.shutdown(), 2);
     }
 
     #[test]
@@ -632,8 +424,8 @@ mod tests {
         // Ship two requests split-phase before collecting either reply:
         // the server thread drains both; the completions then yield the
         // replies in issue order.
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "split-phase");
-        let ex = handle.connect();
+        let (reactor, endpoint) = own_reactor("split-phase");
+        let ex = endpoint.connect();
         let first = ex.begin(crate::codec::encode_request(&Request::Count(w())));
         let second = ex.begin(crate::codec::encode_request(&Request::Window(w())));
         let r1 = crate::codec::decode_response(first()).unwrap();
@@ -641,8 +433,7 @@ mod tests {
         assert_eq!(r1.into_count(), 7);
         assert_eq!(r2.into_objects().len(), 2);
         drop(ex);
-        drop(handle);
-        assert_eq!(server.join(), 2);
+        assert_eq!(reactor.shutdown(), 2);
     }
 
     #[test]
@@ -662,8 +453,8 @@ mod tests {
 
     #[test]
     fn garbled_frame_gets_typed_error_and_server_keeps_serving() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "garbled");
-        let ex = handle.connect();
+        let (reactor, endpoint) = own_reactor("garbled");
+        let ex = endpoint.connect();
         // An unknown opcode and a truncated frame both answer R_MALFORMED
         // instead of killing the shared thread.
         for garbage in [
@@ -677,13 +468,12 @@ mod tests {
             );
         }
         // The same thread still serves healthy traffic afterwards.
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let link = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
         drop(link);
         drop(ex);
-        drop(handle);
         // Garbled frames are not counted as served queries.
-        assert_eq!(server.join(), 1);
+        assert_eq!(reactor.shutdown(), 1);
     }
 
     #[test]
@@ -698,24 +488,24 @@ mod tests {
 
     #[test]
     fn dropping_server_before_handles_does_not_hang() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "drop-first");
-        let ex = handle.connect();
-        // Handles and carriers are still alive: the old Drop joined a
-        // thread whose recv loop could never disconnect.
-        drop(server);
+        let (reactor, endpoint) = own_reactor("drop-first");
+        let ex = endpoint.connect();
+        // The endpoint and a connection are still alive: dropping the
+        // server must not wait for them (the shutdown sentinel).
+        drop(reactor);
         // The surviving client degrades instead of panicking.
         let link = Link::new(Box::new(ex), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
-        drop(handle);
+        drop(endpoint);
     }
 
     #[test]
     fn client_outliving_server_sees_unavailable_not_panic() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "short-lived");
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let (reactor, endpoint) = own_reactor("short-lived");
+        let link = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
         assert_eq!(link.request(&Request::Count(w())).into_count(), 7);
-        drop(server);
-        drop(handle);
+        drop(reactor);
+        drop(endpoint);
         assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);
         assert_eq!(link.request(&Request::Window(w())), Response::Unavailable);
     }
@@ -885,12 +675,12 @@ mod tests {
 
     #[test]
     fn failed_exchange_charges_no_meter_bytes() {
-        let (server, handle) = ChannelServer::spawn(Arc::new(Fixed), "meter-conservation");
-        let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
+        let (reactor, endpoint) = own_reactor("meter-conservation");
+        let link = Link::new(Box::new(endpoint.connect()), PacketModel::default(), 1.0);
         link.request(&Request::Count(w()));
         let before = link.meter().snapshot();
-        drop(server);
-        drop(handle);
+        drop(reactor);
+        drop(endpoint);
         // Failed exchanges must not move the meter: only completed
         // exchanges count, in both directions.
         assert_eq!(link.request(&Request::Count(w())), Response::Unavailable);

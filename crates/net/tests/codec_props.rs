@@ -23,13 +23,19 @@
 //! A third suite round-trips the scalar v2 frames (varint counts, acks,
 //! generation stamps), which have no quantization to verify but share
 //! the varint primitives.
+//!
+//! A fourth pins `wire_form` — the request exactly as a server decodes
+//! it, which cache containment and router pruning reason about — to the
+//! codec itself, for every request kind and coordinates that only snap
+//! on the wire.
 
 use asj_geom::{Point, Rect, SpatialObject};
 use asj_net::codec::{
-    decode_response, decode_response_ctx, decode_response_gen_ctx, encode_response,
-    encode_response_versioned, stamp_generation_versioned, QuantCtx, WireVersion, OBJ_BYTES,
+    decode_request, decode_response, decode_response_ctx, decode_response_gen_ctx, encode_request,
+    encode_response, encode_response_versioned, stamp_generation_versioned, wire_form, QuantCtx,
+    WireVersion, OBJ_BYTES,
 };
-use asj_net::Response;
+use asj_net::{Request, Response, Update};
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 
@@ -74,6 +80,40 @@ fn any_id() -> impl Strategy<Value = u32> {
 
 fn object() -> impl Strategy<Value = SpatialObject> {
     (any_id(), shape()).prop_map(|(id, r)| SpatialObject::new(id, r))
+}
+
+/// An ε that is rarely f32-representable.
+fn wild_eps() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0u32..4000).prop_map(|v| f64::from(v) * 0.25),
+        (0u32..4000).prop_map(|v| f64::from(v) * 0.123456789),
+    ]
+}
+
+fn update() -> impl Strategy<Value = Update> {
+    prop_oneof![
+        object().prop_map(Update::Insert),
+        any_id().prop_map(Update::Delete),
+        (any_id(), shape()).prop_map(|(id, to)| Update::Move { id, to }),
+    ]
+}
+
+/// Every request kind, over coordinates and ε that snap on the wire.
+fn request() -> impl Strategy<Value = Request> {
+    let shapes = || prop::collection::vec(shape(), 0..12);
+    let objects = || prop::collection::vec(object(), 0..12);
+    prop_oneof![
+        shape().prop_map(Request::Window),
+        shape().prop_map(Request::Count),
+        shape().prop_map(Request::AvgArea),
+        (shape(), wild_eps()).prop_map(|(q, eps)| Request::EpsRange { q, eps }),
+        (objects(), wild_eps()).prop_map(|(probes, eps)| Request::BucketEpsRange { probes, eps }),
+        shapes().prop_map(Request::MultiCount),
+        any::<u8>().prop_map(Request::CoopLevelMbrs),
+        (shapes(), wild_eps()).prop_map(|(mbrs, eps)| Request::CoopFilterByMbrs { mbrs, eps }),
+        (objects(), wild_eps()).prop_map(|(objects, eps)| Request::CoopJoinPush { objects, eps }),
+        prop::collection::vec(update(), 0..12).prop_map(Request::ApplyUpdates),
+    ]
 }
 
 /// Objects under the documented density bound: ids below 2^20 keep
@@ -280,5 +320,15 @@ proptest! {
             prop_assert_eq!(got, resp);
             prop_assert_eq!(gen, generation, "generation stamp did not survive the peel");
         }
+    }
+
+    // The wire form is exactly what a server decodes — for every request
+    // kind — and snapping is idempotent and leaves the frame unchanged.
+    #[test]
+    fn wire_form_is_the_decoded_request(req in request()) {
+        let snapped = wire_form(&req);
+        prop_assert_eq!(&snapped, &decode_request(encode_request(&req)).expect("decode"));
+        prop_assert_eq!(&wire_form(&snapped), &snapped);
+        prop_assert_eq!(encode_request(&snapped), encode_request(&req));
     }
 }

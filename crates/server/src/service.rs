@@ -29,8 +29,8 @@ const PARALLEL_BUCKET_THRESHOLD: usize = 512;
 /// A spatial service: one dataset, one store, one policy.
 ///
 /// `handle` is `&self` and the store is immutable, so one service instance
-/// can serve any number of connections concurrently; the channel server in
-/// `asj-net` relies on that.
+/// can serve any number of connections concurrently; the event-loop
+/// carrier in `asj-net` relies on that.
 pub struct SpatialService<S: SpatialStore> {
     store: Arc<S>,
     policy: ServicePolicy,

@@ -3,7 +3,7 @@
 //! Many device threads hammer one threaded server (and one 4-shard
 //! threaded fleet). Every concurrent client must get **byte- and
 //! result-identical** answers to a serial replay: links are per-client, so
-//! metering never bleeds between clients, the channel server serves
+//! metering never bleeds between clients, a server's reactor thread serves
 //! interleaved requests without mixing replies, and per-shard meters keep
 //! summing exactly to each link's aggregate (meter conservation).
 
@@ -13,7 +13,7 @@ use adhoc_spatial_joins::prelude::*;
 use asj_core::DeploymentBuilder;
 use asj_geom::SpatialObject;
 use asj_net::{
-    BreakerConfig, ChannelServer, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
+    BreakerConfig, EventLoop, FaultPlan, Link, LinkSnapshot, NetConfig, PacketModel, Request,
     RetryPolicy,
 };
 use asj_server::{RTreeStore, SpatialService};
@@ -136,14 +136,16 @@ fn concurrent_clients_of_a_replicated_faulted_fleet_conserve_meters() {
     assert_concurrent_replay_identical(&dep, &spec, true);
 }
 
-/// Raw link level: N clients of one `ChannelServer` issue the same request
-/// sequence; every per-link meter must equal the serial replay's exactly,
-/// and the server must have served exactly the expected request count.
+/// Raw link level: N clients of one server on its own reactor thread
+/// issue the same request sequence; every per-link meter must equal the
+/// serial replay's exactly, and the server must have served exactly the
+/// expected request count.
 #[test]
 fn channel_server_meters_are_per_link_under_contention() {
     let objs = clusters(4, 400, 47);
     let service = Arc::new(SpatialService::new(RTreeStore::new(objs)));
-    let (server, handle) = ChannelServer::spawn(service, "stress");
+    let server = EventLoop::spawn("stress");
+    let handle = server.serve(service);
 
     let sequence: Vec<Request> = (0..25)
         .map(|i| {
@@ -190,7 +192,7 @@ fn channel_server_meters_are_per_link_under_contention() {
     }
     drop(handle);
     assert_eq!(
-        server.join(),
+        server.shutdown(),
         ((CLIENTS + 1) * sequence.len()) as u64,
         "every request must be served exactly once"
     );

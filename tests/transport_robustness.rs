@@ -1,18 +1,19 @@
 //! Transport robustness — a garbled frame must never kill a shared server.
 //!
-//! The channel server thread and the event-loop reactor are shared by
-//! every connected device, so the failure modes this suite pins are the
-//! ones that take *other* clients down with them:
+//! A server's reactor thread — its own in a threaded deployment, or one
+//! reactor shared by many endpoints — serves every connected device, so
+//! the failure modes this suite pins are the ones that take *other*
+//! clients down with them:
 //!
 //! * **Garbled frames** (fuzz-ish: empty, truncated, bit-flipped, alien
 //!   opcodes, absurd length prefixes) get a typed `R_MALFORMED` error
 //!   frame back — the serving thread must survive every one of them, and
 //!   every *healthy* client's run must stay byte-identical (meters) and
 //!   pair-identical (local joins) to an uncontended replay.
-//! * **Shutdown ordering**: dropping a `ChannelServer` while handles and
-//!   connections are still alive must not deadlock (regression for the
-//!   join-on-drop deadlock) — and an `EventLoop` dropped with live
-//!   connections likewise.
+//! * **Shutdown ordering**: dropping a server's `EventLoop` while its
+//!   endpoint and connections are still alive must not deadlock
+//!   (regression for the join-on-drop deadlock) — whether a link or a raw
+//!   connection outlives it.
 //! * **Dead servers**: a client outliving its server sees
 //!   `Response::Unavailable`, never a panic — and the failed exchange
 //!   charges **no** meter bytes in either direction (meters record
@@ -25,7 +26,7 @@ use adhoc_spatial_joins::prelude::*;
 use asj_device::{run_traffic, TrafficConfig};
 use asj_geom::SpatialObject;
 use asj_net::codec;
-use asj_net::{ChannelServer, EventLoop, Link, PacketModel, RawExchange, Request, Response};
+use asj_net::{EventLoop, Link, PacketModel, RawExchange, Request, Response};
 use asj_server::{RTreeStore, SpatialService};
 use asj_workloads::{default_space, gaussian_clusters, SyntheticSpec};
 use bytes::Bytes;
@@ -91,13 +92,14 @@ fn scripted_requests() -> Vec<Request> {
         .collect()
 }
 
-/// Channel server: an attacker connection spraying garbage concurrently
-/// with healthy clients. Every garbage frame gets the typed error frame;
+/// A server on its own reactor: an attacker connection spraying garbage
+/// concurrently with healthy clients. Every garbage frame gets the typed error frame;
 /// every healthy client's meter equals the uncontended replay; the
 /// served count excludes the garbage.
 #[test]
 fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
-    let (server, handle) = ChannelServer::spawn(service(29), "robust");
+    let server = EventLoop::spawn("robust");
+    let handle = server.serve(service(29));
     let sequence = scripted_requests();
     let run = |carrier: Box<dyn RawExchange>| {
         let link = Link::new(carrier, PacketModel::default(), 1.0);
@@ -155,7 +157,7 @@ fn garbled_frames_leave_healthy_channel_clients_byte_identical() {
     }
     drop(handle);
     assert_eq!(
-        server.join(),
+        server.shutdown(),
         ((HEALTHY + 1) * sequence.len()) as u64,
         "garbage and handshakes must not count as served queries"
     );
@@ -227,20 +229,21 @@ fn garbled_frames_leave_event_loop_joins_pair_identical() {
 /// sentinel drains queued RPCs and the drop returns.
 #[test]
 fn dropping_carriers_with_live_clients_never_hangs() {
-    // Channel server: handle outlives the server value.
-    let (server, handle) = ChannelServer::spawn(service(37), "drop-order");
+    // A server on its own reactor: the endpoint and a link outlive it.
+    let server = EventLoop::spawn("drop-order");
+    let handle = server.serve(service(37));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     assert!(matches!(
         link.request(&Request::Count(default_space())),
         Response::Count(_)
     ));
-    drop(server); // must return, not deadlock on the live handle
+    drop(server); // must return, not deadlock on the live endpoint
     assert_eq!(
         link.request(&Request::Count(default_space())),
         Response::Unavailable
     );
 
-    // Event loop: connections outlive the loop value.
+    // A raw connection outlives the loop value.
     let reactor = EventLoop::spawn("drop-order");
     let endpoint = reactor.serve(service(41));
     let conn = endpoint.connect();
@@ -255,7 +258,8 @@ fn dropping_carriers_with_live_clients_never_hangs() {
 /// completed exchanges only).
 #[test]
 fn dead_server_yields_unavailable_and_charges_no_bytes() {
-    let (server, handle) = ChannelServer::spawn(service(43), "mortal");
+    let server = EventLoop::spawn("mortal");
+    let handle = server.serve(service(43));
     let link = Link::new(Box::new(handle.connect()), PacketModel::default(), 1.0);
     let w = Rect::from_coords(1000.0, 1000.0, 4000.0, 4000.0);
     assert!(matches!(
