@@ -103,23 +103,8 @@ struct Replica {
 /// reconnect to the *same* server after a scripted crash: the store (and
 /// its published generation) survives; only the connection is lost.
 enum Carrier {
-    Single(Arc<Endpoint>),
+    Single(Replica),
     Fleet(Vec<(Arc<ShardMeta>, Vec<Replica>)>),
-}
-
-/// Wraps an endpoint's raw exchange in a [`FaultLayer`] when a plan is
-/// configured. The restart hook reconnects to the same endpoint, so a
-/// crash-then-restart resumes serving the `VersionedStore` at its last
-/// published generation — exactly the recovery contract the chaos suite
-/// checks.
-fn physical_edge(e: &Arc<Endpoint>, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
-    match fault {
-        None => e.raw(),
-        Some(plan) => {
-            let ep = Arc::clone(e);
-            Box::new(FaultLayer::new(e.raw(), *plan).with_restart(Box::new(move || ep.raw())))
-        }
-    }
 }
 
 /// Decorrelates the scripted fault stream per replica edge: replica 0
@@ -134,12 +119,14 @@ fn replica_plan(plan: &FaultPlan, replica: usize) -> FaultPlan {
     p
 }
 
-/// The physical edge to replica `j` of one shard's replica group. Under
-/// a fault plan the edge gets its own decorrelated [`FaultLayer`]; its
-/// restart hook first catches the replica's store up from the
-/// freshest sibling (a replica that stayed dark through an outage missed
-/// the update batches its siblings acked — resynchronizing here is what
-/// lets the router's generation floor readmit it), then reconnects.
+/// The physical edge to replica `j` of one replica group (a single
+/// server is a group of one). Under a fault plan the edge gets its own
+/// decorrelated [`FaultLayer`] whose restart hook reconnects to the same
+/// endpoint, so a crash-then-restart resumes serving the store at its
+/// last published generation — after first catching the replica's store
+/// up from the freshest sibling (a replica that stayed dark through an
+/// outage missed the update batches its siblings acked — resynchronizing
+/// here is what lets the router's generation floor readmit it).
 fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<dyn RawExchange> {
     match fault {
         None => group[j].endpoint.raw(),
@@ -173,16 +160,15 @@ fn replica_edge(group: &[Replica], j: usize, fault: Option<&FaultPlan>) -> Box<d
 impl Carrier {
     /// Opens a fresh link; when `cache` is set, a [`CacheLayer`] (with a
     /// fresh per-link telemetry but the given shared store) is stacked in
-    /// front of the server or fleet.
+    /// front of the server or fleet. The retry policy and — when
+    /// `net.wire_v2` is on — the v2 handshake apply to every physical
+    /// edge below the link: the server's, or each shard's. With the flag
+    /// off (the default) no handshake frame is ever sent and every link
+    /// speaks v1 byte-identically.
     ///
     /// Fleet links all share the carrier's [`ShardMeta`]s, so generation
     /// stamps and bounds growth observed through any link (including the
     /// update path) are visible to every other link's router.
-    /// When `net.wire_v2` is on, every *physical* edge negotiates
-    /// protocol v2 before the link is handed out: a bare or cached link
-    /// with its server, a shard router per shard. With the flag off (the
-    /// default) no handshake frame is ever sent and every link speaks v1
-    /// byte-identically.
     fn link(
         &self,
         net: &NetConfig,
@@ -190,27 +176,16 @@ impl Carrier {
         cache: Option<&Arc<ClientCache>>,
         fault: Option<&FaultPlan>,
     ) -> Link {
-        match self {
-            Carrier::Single(e) => match cache {
-                Some(c) => {
-                    let mut layer =
-                        CacheLayer::new(physical_edge(e, fault), net.packet, Arc::clone(c))
-                            .with_retry(net.retry);
-                    if net.wire_v2 {
-                        layer.negotiate_v2();
+        let link = match self {
+            Carrier::Single(server) => {
+                let edge = replica_edge(std::slice::from_ref(server), 0, fault);
+                match cache {
+                    Some(c) => {
+                        Link::cached(CacheLayer::new(edge, net.packet, Arc::clone(c)), tariff)
                     }
-                    Link::cached(layer, tariff)
+                    None => Link::new(edge, net.packet, tariff),
                 }
-                None => {
-                    let link = Link::new(physical_edge(e, fault), net.packet, tariff)
-                        .with_retry(net.retry);
-                    if net.wire_v2 {
-                        link.negotiate()
-                    } else {
-                        link
-                    }
-                }
-            },
+            }
             Carrier::Fleet(members) => {
                 let shards = members
                     .iter()
@@ -221,20 +196,20 @@ impl Carrier {
                         ShardEndpoint::with_replicas(Arc::clone(meta), edges)
                     })
                     .collect();
-                // Retries live on the shard edges, the only place bytes
-                // cross: a cache stacked over the fleet never re-delivers.
-                let mut router = ShardRouter::new(shards, net.packet)
-                    .with_retry(net.retry)
+                let router = ShardRouter::new(shards, net.packet)
                     .with_breakers(net.breaker)
                     .with_allow_partial(net.allow_partial);
-                if net.wire_v2 {
-                    router.negotiate_v2();
-                }
                 match cache {
                     Some(c) => Link::cached(CacheLayer::over_router(router, Arc::clone(c)), tariff),
                     None => Link::routed(router, tariff),
                 }
             }
+        }
+        .with_retry(net.retry);
+        if net.wire_v2 {
+            link.negotiate()
+        } else {
+            link
         }
     }
 
@@ -260,7 +235,7 @@ impl Carrier {
     /// carrier.
     fn event_stats(&self) -> Vec<Arc<asj_net::EndpointStats>> {
         match self {
-            Carrier::Single(e) => e.event_stats().into_iter().collect(),
+            Carrier::Single(server) => server.endpoint.event_stats().into_iter().collect(),
             Carrier::Fleet(members) => members
                 .iter()
                 .flat_map(|(_, group)| group.iter().filter_map(|r| r.endpoint.event_stats()))
@@ -714,7 +689,7 @@ impl DeploymentBuilder {
         let replicas = self.replicas;
         let make = |objects: Vec<SpatialObject>, shards: Option<usize>, name: &str| -> Carrier {
             match shards {
-                None => Carrier::Single(spawn(objects, name).endpoint),
+                None => Carrier::Single(spawn(objects, name)),
                 Some(n) => {
                     let part = partition_objects(&space, n, objects);
                     // Advertised bounds come from the partitioner's

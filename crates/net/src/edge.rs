@@ -132,13 +132,18 @@ impl Edge {
     /// Returns the reply and the generation it was stamped with (0 when
     /// every attempt failed).
     pub(crate) fn call(&self, req: &Request) -> (Response, u64) {
-        let (_, landing) = Edge::drive(vec![self.flight(0, req)])
-            .pop()
-            .expect("one flight in, one landing out");
-        match landing {
+        match self.fly(req) {
             Landing::Served(resp, generation) => (resp, generation),
             Landing::Exhausted(resp) => (resp, 0),
         }
+    }
+
+    /// Drives one read flight of `req` to its landing.
+    pub(crate) fn fly(&self, req: &Request) -> Landing {
+        let (_, landing) = Edge::drive(vec![self.flight(0, req)])
+            .pop()
+            .expect("one flight in, one landing out");
+        landing
     }
 
     /// Frames `req` in the edge's wire version. With retries on, an

@@ -528,18 +528,17 @@ impl ShardRouter {
     /// A fleet of one shard with one replica: one unpruned flight, so
     /// the shard sees exactly the traffic of a flat link.
     fn single(&self, edge: &Edge, req: &Request) -> (Response, u64) {
-        match Edge::drive(vec![edge.flight(0, req)]).pop() {
-            Some((_, Landing::Served(resp, generation))) => {
+        match edge.fly(req) {
+            Landing::Served(resp, generation) => {
                 if let Response::Ack { generation } = resp {
                     edge.meta.note_generation(generation);
                 }
                 (resp, generation)
             }
-            Some((_, Landing::Exhausted(resp))) => {
+            Landing::Exhausted(resp) => {
                 self.telemetry.note_failed(0);
                 (resp, 0)
             }
-            None => unreachable!("one flight in, one landing out"),
         }
     }
 
@@ -959,67 +958,9 @@ fn mismatch(expected: &str, got: &Response) -> ! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::QueryHandler;
+    use crate::testutil::ScanHandler as Scan;
     use crate::transport::{InProcExchange, Link};
     use asj_geom::Point;
-
-    /// A scan-backed handler over a fixed object list.
-    struct Scan(Vec<SpatialObject>);
-
-    impl QueryHandler for Scan {
-        fn handle(&self, req: Request) -> Response {
-            match req {
-                Request::Window(w) => Response::Objects(
-                    self.0
-                        .iter()
-                        .filter(|o| o.mbr.intersects(&w))
-                        .copied()
-                        .collect(),
-                ),
-                Request::Count(w) => {
-                    Response::Count(self.0.iter().filter(|o| o.mbr.intersects(&w)).count() as u64)
-                }
-                Request::MultiCount(ws) => Response::Counts(
-                    ws.iter()
-                        .map(|w| self.0.iter().filter(|o| o.mbr.intersects(w)).count() as u64)
-                        .collect(),
-                ),
-                Request::EpsRange { q, eps } => Response::Objects(
-                    self.0
-                        .iter()
-                        .filter(|o| o.mbr.within_distance(&q, eps))
-                        .copied()
-                        .collect(),
-                ),
-                Request::AvgArea(w) => {
-                    let areas: Vec<f64> = self
-                        .0
-                        .iter()
-                        .filter(|o| o.mbr.intersects(&w))
-                        .map(|o| o.mbr.area())
-                        .collect();
-                    Response::Area(if areas.is_empty() {
-                        0.0
-                    } else {
-                        areas.iter().sum::<f64>() / areas.len() as f64
-                    })
-                }
-                Request::BucketEpsRange { probes, eps } => Response::Buckets(
-                    probes
-                        .iter()
-                        .map(|p| {
-                            self.0
-                                .iter()
-                                .filter(|o| o.mbr.within_distance(&p.mbr, eps))
-                                .copied()
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                _ => Response::Refused,
-            }
-        }
-    }
 
     fn endpoint(objects: Vec<SpatialObject>) -> ShardEndpoint {
         let bounds = Rect::union_of(objects.iter().map(|o| o.mbr));
@@ -1695,7 +1636,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_pass_through_retries_and_dedups() {
+    fn single_shard_flight_retries_and_dedups() {
         let data: Vec<SpatialObject> = (0..5)
             .map(|i| SpatialObject::point(i, i as f64, 0.0))
             .collect();
@@ -1730,7 +1671,7 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_pass_through_surfaces_unavailable() {
+    fn exhausted_single_shard_flight_surfaces_unavailable() {
         let data: Vec<SpatialObject> = (0..5)
             .map(|i| SpatialObject::point(i, i as f64, 0.0))
             .collect();
