@@ -470,9 +470,9 @@ impl CacheLayer {
 
     /// Negotiates wire protocol v2 on the physical edges below (one
     /// `HELLO`/`ACCEPT` round trip per carrier, 4 unmetered link-control
-    /// bytes). Only the deployment layer calls this, and only when
-    /// `NetConfig::wire_v2` is on; a peer that never `ACCEPT`s leaves its
-    /// edge at v1. The cache itself is version-agnostic: it admits and
+    /// bytes); [`Link::negotiate`](crate::Link::negotiate) reaches it,
+    /// and deployments call that only when `NetConfig::wire_v2` is on. A
+    /// peer that never `ACCEPT`s leaves its edge at v1. The cache itself is version-agnostic: it admits and
     /// serves *decoded* objects, so a window downloaded over v2 answers
     /// later lookups whatever their framing.
     pub fn negotiate_v2(&mut self) {
@@ -553,18 +553,6 @@ impl CacheLayer {
         (resp, generation)
     }
 
-    /// Records every count of a full-batch answer, when it has one per
-    /// window.
-    fn observe_counts(&self, windows: &[Rect], resp: &Response, generation: u64) {
-        if let Response::Counts(counts) = resp {
-            if counts.len() == windows.len() {
-                for (w, &c) in windows.iter().zip(counts) {
-                    self.view.cache.observe_count(w, c, generation);
-                }
-            }
-        }
-    }
-
     fn multi_count(&self, req: &Request, windows: &[Rect]) -> (Response, u64) {
         let cache = &self.view.cache;
         let generation = cache.generation();
@@ -577,16 +565,25 @@ impl CacheLayer {
             (windows.len() - miss_idx.len()) as u64,
             miss_idx.len() as u64,
         );
+        // Ships the whole batch and records every count it answers.
+        let full_batch = || {
+            let (resp, generation) = self.forward(req);
+            if let Response::Counts(counts) = &resp {
+                if counts.len() == windows.len() {
+                    for (w, &c) in windows.iter().zip(counts) {
+                        cache.observe_count(w, c, generation);
+                    }
+                }
+            }
+            (resp, generation)
+        };
         if miss_idx.is_empty() {
             // Every entry answered locally: the whole round trip vanishes.
             let counts = answers.into_iter().map(|c| c.expect("all hits")).collect();
             return self.local(req, Response::Counts(counts), generation);
         }
         if miss_idx.len() == windows.len() {
-            // Full miss: forward the batch unchanged.
-            let (resp, generation) = self.forward(req);
-            self.observe_counts(windows, &resp, generation);
-            return (resp, generation);
+            return full_batch();
         }
         // Partial hit: ship only the misses, splice the answers back in
         // probe order.
@@ -597,9 +594,7 @@ impl CacheLayer {
             // sub-batch reply: the splice would mix generations. Re-ask
             // the full batch at the new generation — correctness first;
             // this only costs bytes when an update races the query.
-            let (resp, generation) = self.forward(req);
-            self.observe_counts(windows, &resp, generation);
-            return (resp, generation);
+            return full_batch();
         }
         let fresh = match &sub_resp {
             Response::Counts(cs) if cs.len() == miss_idx.len() => cs,

@@ -487,8 +487,8 @@ impl ShardRouter {
     /// replica `ACCEPT`s — a mixed replica set stays at
     /// [`WireVersion::V1`] so failing over mid-request never changes the
     /// frame format. Mixed-version fleets degrade per shard, never fail.
-    /// Only the deployment layer calls this, and only when
-    /// `NetConfig::wire_v2` is on.
+    /// [`Link::negotiate`](crate::Link::negotiate) reaches it, and
+    /// deployments call that only when `NetConfig::wire_v2` is on.
     pub fn negotiate_v2(&mut self) {
         for edge in &mut self.edges {
             edge.negotiate();

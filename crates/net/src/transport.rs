@@ -129,10 +129,10 @@ impl<H: QueryHandler + ?Sized> RawExchange for InProcExchange<H> {
     }
 }
 
-/// What a [`Link`] (or a [`CacheLayer`]) sends its requests through: the
-/// internal `call` seam that replaced byte passing between layers. Every
-/// layer answers a [`Request`] with the decoded [`Response`] and the
-/// serving generation it was stamped with.
+/// What a [`Link`] (or a [`CacheLayer`]) sends its requests through — the
+/// internal `call` seam between layers, which pass values, never frames.
+/// Every layer answers a [`Request`] with the decoded [`Response`] and
+/// the serving generation it was stamped with.
 pub(crate) enum Stack {
     /// One physical edge to one server.
     Edge(Edge),
